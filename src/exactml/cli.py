@@ -18,6 +18,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
+from . import bdd
 from . import circuit as circuit_mod
 from . import cnf as cnf_mod
 from . import counter as counter_mod
@@ -99,7 +100,7 @@ def _parse_post(arg: str, n_labels: int) -> frozenset:
 
 def _make_count_fn(backend: str, budget: int, dialect: str):
     if backend == "builtin":
-        return lambda cnf: counter_mod.count_projected(cnf, budget=budget)
+        return metrics_mod.bdd_count_fn(budget)
     for prefix, tool in (("external:", "projected_exact"), ("external-approx:", "approximate")):
         if backend.startswith(prefix):
             template = backend[len(prefix):]
@@ -115,11 +116,16 @@ def _make_count_fn(backend: str, budget: int, dialect: str):
                 try:
                     argv = shlex.split(template.replace("{file}", path))
                     proc = subprocess.run(argv, capture_output=True, text=True)
-                    return counter_mod.parse_external_count(proc.stdout, tool)
                 finally:
                     Path(path).unlink(missing_ok=True)
+                if proc.returncode != 0:
+                    raise CliError(
+                        f"external counter exited with code {proc.returncode}: "
+                        f"{proc.stderr.strip()}"
+                    )
+                return counter_mod.parse_external_count(proc.stdout, tool)
 
-            return run_external
+            return metrics_mod.tseitin_count_fn(run_external)
     raise CliError(f"unknown backend {backend!r}")
 
 
@@ -332,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="builtin | external:'cmd {file}' | external-approx:'cmd {file}'")
         p.add_argument("--dialect", default="ind_comment",
                        choices=list(cnf_mod.DIALECTS))
-        p.add_argument("--budget", type=int, default=counter_mod.DEFAULT_BUDGET,
-                       help="decision budget for the builtin counter")
+        p.add_argument("--budget", type=int, default=bdd.DEFAULT_NODE_BUDGET,
+                       help="node budget of the builtin BDD counter, shared by all the "
+                            "counts of one command (default %(default)s)")
         p.add_argument("--seed", type=int, default=metrics_mod.DEFAULT_SEED)
         p.add_argument("--samples", type=int, default=0,
                        help="if > 0, add a seeded statistical baseline to the report")

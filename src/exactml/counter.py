@@ -1,8 +1,10 @@
 """Exact projected model counting, plus adapters for external counters.
 
-`count_projected` is a DPLL that only ever branches on projection
-variables; unit propagation (two watched literals, over all variables)
-handles the auxiliaries. For the Tseitin formulas produced by this package
+`count_projected` is the package's one counting entry point. A
+`bdd.CircuitRoot` counts itself through its BDD manager; a `CnfFormula` is
+counted by a DPLL that only ever branches on projection variables, while
+unit propagation (two watched literals, over all variables) handles the
+auxiliaries. For the Tseitin formulas produced by this package
 a total projection assignment determines every auxiliary by propagation, so
 each branch contributes exactly 0 or 1; a generic satisfiability fallback
 keeps foreign DIMACS inputs correct as well. Execution is deterministic:
@@ -28,7 +30,7 @@ ENUMERATE_CAP = 24
 @dataclass
 class CountResult:
     count: Optional[int]  # None iff exhausted
-    method: str  # "dpll_projected" | "enumeration" | "external"
+    method: str  # "bdd" | "dpll_projected" | "enumeration" | "external"
     stats: dict = field(default_factory=dict)
     exhausted: bool = False
 
@@ -268,59 +270,20 @@ def _count_engine(cnf: CnfFormula, stats: dict, budget: int) -> int:
     return search(0)
 
 
-def _split_components(cnf: CnfFormula):
-    """Connected components of the variable-incidence graph."""
-    parent = list(range(cnf.num_vars + 1))
+def count_projected(cnf, budget: int = DEFAULT_BUDGET) -> CountResult:
+    """Exact count of projection assignments extendable to satisfying ones.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for clause in cnf.clauses:
-        root = find(abs(clause[0]))
-        for lit in clause[1:]:
-            parent[find(abs(lit))] = root
-
-    groups: dict[int, list] = {}
-    for ci, clause in enumerate(cnf.clauses):
-        groups.setdefault(find(abs(clause[0])), []).append(clause)
-
-    used_vars = {abs(lit) for clause in cnf.clauses for lit in clause}
-    free_projection = len([v for v in cnf.projection if v not in used_vars])
-
-    parts = []
-    for root in sorted(groups):
-        clauses = groups[root]
-        comp_vars = sorted({abs(lit) for clause in clauses for lit in clause})
-        renum = {v: i + 1 for i, v in enumerate(comp_vars)}
-        new_clauses = tuple(
-            tuple((1 if lit > 0 else -1) * renum[abs(lit)] for lit in clause)
-            for clause in clauses
-        )
-        proj = frozenset(renum[v] for v in comp_vars if v in cnf.projection)
-        parts.append(CnfFormula(len(comp_vars), new_clauses, proj))
-    return parts, free_projection
-
-
-def count_projected(
-    cnf: CnfFormula, budget: int = DEFAULT_BUDGET, decompose: bool = False
-) -> CountResult:
-    """Exact count of projection assignments extendable to satisfying ones."""
+    `cnf` is a `CnfFormula`, counted by the DPLL under a decision budget, or
+    a `bdd.CircuitRoot`, whose projection is its circuit's input bits and
+    which counts through its BDD manager under that manager's node budget.
+    """
+    if not isinstance(cnf, CnfFormula):
+        return cnf.count()
     cnf.check()
     stats = {"decisions": 0, "propagations": 0}
     start = time.perf_counter()
     try:
-        if decompose:
-            parts, free = _split_components(cnf)
-            count = 1 << free
-            for part in parts:
-                count *= _count_engine(part, stats, budget)
-                if count == 0:
-                    break
-        else:
-            count = _count_engine(cnf, stats, budget)
+        count = _count_engine(cnf, stats, budget)
     except _BudgetExceeded:
         stats["wall_time"] = time.perf_counter() - start
         return CountResult(None, "dpll_projected", stats, exhausted=True)
@@ -515,8 +478,3 @@ def probe_functional_extension(cnf: CnfFormula, assignments) -> list[str]:
         engine.undo(marks)
         results.append(status)
     return results
-
-
-def propagate_projection(cnf: CnfFormula, proj_assignment: dict[int, bool]) -> str:
-    """Single-assignment form of `probe_functional_extension`."""
-    return probe_functional_extension(cnf, [proj_assignment])[0]

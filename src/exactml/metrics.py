@@ -1,11 +1,15 @@
 """Exact learnability, safety and robustness quantification.
 
-Each metric is a projected model count of one circuit root: confusion-cell
-conjunctions of ground truth and model decision for learnability, Pre
-conjoined with the (violated) post-condition for safety, and the model's
-own decision wire restricted to an L-infinity region for robustness.
-Derived ratios are exact rationals; a seeded Monte-Carlo baseline of the
-same quantities is available for side-by-side reporting.
+Each metric counts circuit roots: confusion-cell conjunctions of ground
+truth and model decision for learnability, Pre conjoined with the
+(violated) post-condition for safety, and the model's own decision wire
+for robustness. All the roots of one metric go to the counter in one call.
+Robustness and safety compile the model over the property's box (the
+L-infinity region, or the bounding box of Pre) instead of the whole domain:
+no input outside the box can satisfy the root, so the counts are the same
+and the circuits are smaller. Derived ratios are exact rationals; a seeded
+Monte-Carlo baseline of the same quantities is available for side-by-side
+reporting.
 """
 
 from __future__ import annotations
@@ -16,19 +20,23 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .circuit import (
-    METRIC_KINDS,
-    compile_model,
-    compile_predicate,
-    compose_metric,
-    constrain_region,
-)
+from . import bdd
+from .circuit import METRIC_KINDS, Circuit, compile_model, compile_predicate, compose_metric
 from .cnf import CnfFormula, tseitin
-from .counter import CountResult, count_projected
-from .models import FeatureSpec, InputDomain, Model, ModelError, eval_model, num_labels
-from .predicates import Not, Predicate, SafetyProperty, region
+from .counter import CountResult
+from .models import InputDomain, Model, ModelError, eval_model, num_labels
+from .predicates import (
+    Not,
+    Predicate,
+    SafetyProperty,
+    bounding_box,
+    box_domain,
+    region,
+)
 
-CountFn = Callable[[CnfFormula], CountResult]
+# count_fn(circuit, {name: root}) -> {name: CountResult}; each count ranges
+# over the circuit's domain
+CountFn = Callable[[Circuit, Mapping[str, int]], dict[str, CountResult]]
 
 DEFAULT_SEED = 0
 
@@ -98,10 +106,16 @@ def binary_truth(pred: Predicate) -> dict[int, Predicate]:
     return {1: pred, 0: Not(pred)}
 
 
-def _default_count_fn(budget: Optional[int]) -> CountFn:
+def bdd_count_fn(budget: Optional[int] = None) -> CountFn:
+    """The builtin counter: one BDD manager per call, under a node budget."""
     if budget is None:
-        return count_projected
-    return lambda cnf: count_projected(cnf, budget=budget)
+        budget = bdd.DEFAULT_NODE_BUDGET
+    return lambda circuit, roots: bdd.count_roots(circuit, roots, budget)
+
+
+def tseitin_count_fn(count: Callable[[CnfFormula], CountResult]) -> CountFn:
+    """A CNF counter behind the CountFn signature: one Tseitin formula per root."""
+    return lambda circuit, roots: {name: count(tseitin(circuit, root)) for name, root in roots.items()}
 
 
 def learnability(
@@ -117,10 +131,14 @@ def learnability(
         raise ModelError(
             f"need one truth predicate per label {labels}, got {sorted(truth_predicates)}"
         )
-    counter = count_fn or _default_count_fn(budget)
+    counter = count_fn or bdd_count_fn(budget)
     circuit = compile_model(model, domain)
     for l in labels:
         compile_predicate(circuit, truth_predicates[l], f"truth_{l}")
+    results = counter(
+        circuit,
+        {f"{kind}:{l}": compose_metric(circuit, l, kind) for l in labels for kind in METRIC_KINDS},
+    )
 
     size = domain.size()
     gaps = []
@@ -128,7 +146,7 @@ def learnability(
     for l in labels:
         cells = {}
         for kind in METRIC_KINDS:
-            result = counter(tseitin(circuit, compose_metric(circuit, l, kind)))
+            result = results[f"{kind}:{l}"]
             if result.exhausted:
                 gaps.append(f"label {l} {kind}: budget exhausted")
                 cells[kind] = None
@@ -150,27 +168,32 @@ def safety(
     count_fn: Optional[CountFn] = None,
     budget: Optional[int] = None,
 ) -> SafetyReport:
-    """Counts of Pre-inputs on which the decision does / does not meet Post."""
+    """Counts of Pre-inputs on which the decision does / does not meet Post.
+
+    Counts range over the bounding box of Pre; an empty box is vacuous
+    without compiling anything.
+    """
     for label in prop.allowed:
         if not (0 <= label < num_labels(model)):
             raise ModelError(f"allowed label {label} out of range")
-    counter = count_fn or _default_count_fn(budget)
-    circuit = compile_model(model, domain)
+    box = bounding_box(prop.pre, domain)
+    if box is None:
+        return SafetyReport(0, 0, 0, None, True)
+    counter = count_fn or bdd_count_fn(budget)
+    circuit = compile_model(model, box_domain(domain, box))
     pre = compile_predicate(circuit, prop.pre, "pre")
     post = circuit.or_all([circuit.output(f"model_{l}") for l in sorted(prop.allowed)])
+    results = counter(
+        circuit,
+        {
+            "pre": pre,
+            "sat": circuit.and_(pre, post),
+            "viol": circuit.and_(pre, circuit.not_(post)),
+        },
+    )
 
-    gaps = []
-
-    def run(name: str, root: int) -> Optional[int]:
-        result = counter(tseitin(circuit, root))
-        if result.exhausted:
-            gaps.append(f"{name}: budget exhausted")
-            return None
-        return result.count
-
-    pre_size = run("pre", pre)
-    sat = run("sat", circuit.and_(pre, post))
-    viol = run("viol", circuit.and_(pre, circuit.not_(post)))
+    gaps = [f"{name}: budget exhausted" for name, r in results.items() if r.exhausted]
+    pre_size, sat, viol = (results[name].count for name in ("pre", "sat", "viol"))
     vacuous = pre_size == 0
     accuracy = None
     if not vacuous and sat is not None and viol is not None and sat + viol:
@@ -186,13 +209,16 @@ def robustness(
     count_fn: Optional[CountFn] = None,
     budget: Optional[int] = None,
 ) -> RobustnessReport:
-    """Fraction of the L-inf ball around `center` classified like the center."""
-    counter = count_fn or _default_count_fn(budget)
+    """Fraction of the L-inf ball around `center` classified like the center.
+
+    The model is compiled over the ball itself, so its circuit reads only
+    the bits that vary inside the ball.
+    """
+    counter = count_fn or bdd_count_fn(budget)
     target = eval_model(model, center, domain)
     reg = region(center, epsilon, domain)
-    circuit = compile_model(model, domain)
-    root = constrain_region(circuit, circuit.output(f"model_{target}"), reg)
-    result = counter(tseitin(circuit, root))
+    circuit = compile_model(model, box_domain(domain, reg.intervals))
+    result = counter(circuit, {"robustness": circuit.output(f"model_{target}")})["robustness"]
     if result.exhausted:
         return RobustnessReport(
             target, reg.size(), None, None, tuple(center), epsilon,
@@ -267,12 +293,7 @@ def statistical_baseline(
             raise ValueError("robustness baseline needs center and epsilon")
         reg = region(center, epsilon, domain)
         target = eval_model(model, center, domain)
-        reg_domain = InputDomain(
-            tuple(
-                FeatureSpec(f.name, lo, hi)
-                for f, (lo, hi) in zip(domain.features, reg.intervals)
-            )
-        )
+        reg_domain = box_domain(domain, reg.intervals)
         hits = 0
         indices = _sample_indices(rng, reg.size(), n_samples, with_replacement)
         total = 0

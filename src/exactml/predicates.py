@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .models import FeatureSpec, InputDomain, ModelError
 
@@ -552,3 +552,80 @@ def region(center: Sequence[int], epsilon: int, domain: InputDomain) -> Robustne
         for f, c in zip(domain.features, center)
     )
     return RobustnessRegion(tuple(center), epsilon, intervals)
+
+
+# ---------------------------------------------------------------------------
+# Boxes: per-feature intervals that bound where a property can hold
+# ---------------------------------------------------------------------------
+
+Box = tuple[tuple[int, int], ...]
+
+_NEGATED_OP = {"<=": ">", "<": ">=", ">=": "<", ">": "<=", "=": "!=", "!=": "="}
+
+
+def box_domain(domain: InputDomain, box: Box) -> InputDomain:
+    """The sub-domain of `domain` whose features range over `box`."""
+    return InputDomain(
+        tuple(FeatureSpec(f.name, lo, hi) for f, (lo, hi) in zip(domain.features, box))
+    )
+
+
+def bounding_box(pred: Predicate, domain: InputDomain) -> Optional[Box]:
+    """A box holding every domain point that satisfies `pred`; None if there is none.
+
+    `And` intersects its children's boxes and `Or` takes their hull; a
+    comparison with a constant, or its negation, bounds its feature; `false`
+    has no box; anything else keeps the full range. The box is sound, not
+    always the smallest.
+    """
+    validate_predicate(pred, domain)
+    return _bounding_box(pred, tuple((f.lo, f.hi) for f in domain.features))
+
+
+def _bounding_box(pred: Predicate, full: Box) -> Optional[Box]:
+    if isinstance(pred, Not):
+        child = pred.child
+        if isinstance(child, CmpConst):
+            pred = CmpConst(_NEGATED_OP[child.op], child.feature, child.constant)
+        elif isinstance(child, Const):
+            pred = Const(not child.value)
+    if isinstance(pred, Const):
+        return full if pred.value else None
+    if isinstance(pred, CmpConst):
+        lo, hi = full[pred.feature]
+        k = pred.constant
+        if pred.op == "<=":
+            hi = min(hi, k)
+        elif pred.op == "<":
+            hi = min(hi, k - 1)
+        elif pred.op == ">=":
+            lo = max(lo, k)
+        elif pred.op == ">":
+            lo = max(lo, k + 1)
+        elif pred.op == "=":
+            lo, hi = max(lo, k), min(hi, k)
+        elif k == lo:  # "!=" can only trim an end point
+            lo += 1
+        elif k == hi:
+            hi -= 1
+        if lo > hi:
+            return None
+        return full[: pred.feature] + ((lo, hi),) + full[pred.feature + 1 :]
+    if isinstance(pred, And):
+        box = full
+        for child in pred.children:
+            inner = _bounding_box(child, full)
+            if inner is None:
+                return None
+            box = tuple((max(a, c), min(b, d)) for (a, b), (c, d) in zip(box, inner))
+            if any(lo > hi for lo, hi in box):
+                return None
+        return box
+    if isinstance(pred, Or):
+        boxes = [b for b in (_bounding_box(child, full) for child in pred.children) if b is not None]
+        if not boxes:
+            return None
+        return tuple(
+            (min(iv[0] for iv in column), max(iv[1] for iv in column)) for column in zip(*boxes)
+        )
+    return full

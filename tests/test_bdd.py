@@ -1,0 +1,214 @@
+"""ROBDD counting: the manager, bounding boxes and deep domains."""
+
+import random
+
+import pytest
+
+import exactml.bdd
+import exactml.counter
+from exactml.bdd import BddManager, CircuitRoot, count_roots, variable_order
+from exactml.circuit import Circuit, compile_predicate
+from exactml.cnf import tseitin
+from exactml.counter import count_projected
+from exactml.metrics import (
+    learnability,
+    robustness,
+    safety,
+    safety_to_document,
+    tseitin_count_fn,
+)
+from exactml.models import load_tree
+from exactml.predicates import (
+    And,
+    CmpConst,
+    CmpFeature,
+    Not,
+    Or,
+    SafetyProperty,
+    bounding_box,
+    builtin_graph_property,
+    graph_domain,
+    parse_predicate,
+)
+
+from conftest import constant_tree_doc, make_domain, random_network, truth_family
+
+DPLL = tseitin_count_fn(count_projected)
+
+
+class TestBoundingBox:
+    def test_cases(self):
+        dom = make_domain([(0, 9), (-3, 3)])
+        full = ((0, 9), (-3, 3))
+        cases = {
+            "f0 <= 4 && f1 > 0": ((0, 4), (1, 3)),
+            "f0 <= 2 || f0 >= 7": full,
+            "(f0 = 2 && f1 = 0) || (f0 = 5 && f1 = -1)": ((2, 5), (-1, 0)),
+            "!(f0 < 3)": ((3, 9), (-3, 3)),
+            "!(f1 = 3)": ((0, 9), (-3, 2)),
+            "f1 != -3": ((0, 9), (-2, 3)),
+            "f0 != 4": full,
+            "f0 <= f1": full,
+            "!(f0 <= 4 && f1 > 0)": full,
+            "f0 >= 8 && (f0 <= f1 || f1 = 2)": ((8, 9), (-3, 3)),
+        }
+        for text, want in cases.items():
+            assert bounding_box(parse_predicate(text, dom), dom) == want, text
+        assert bounding_box(CmpFeature("<", 0, 1), dom) == full
+        assert bounding_box(Not(Or((CmpConst("<", 0, 3),))), dom) == full
+        assert bounding_box(And(()), dom) == full
+
+    def test_empty_boxes(self):
+        dom = make_domain([(0, 9), (5, 5)])
+        for text in ("f0 <= 4 && f0 >= 5", "f1 != 5", "f0 > 9 || f1 < 5", "false", "!true"):
+            assert bounding_box(parse_predicate(text, dom), dom) is None, text
+
+    def test_empty_box_keeps_the_vacuous_report(self):
+        dom = make_domain([(0, 1), (0, 1)])
+        tree = load_tree(constant_tree_doc(0), dom)
+        prop = SafetyProperty(parse_predicate("f0 <= 0 && f0 >= 1", dom), frozenset({1}))
+        assert bounding_box(prop.pre, dom) is None
+        assert safety_to_document(safety(tree, prop, dom)) == {
+            "format_version": 1,
+            "report": "safety",
+            "pre_size": 0,
+            "sat_count": 0,
+            "viol_count": 0,
+            "accuracy": "undefined",
+            "vacuous": True,
+            "gaps": [],
+        }
+
+    def test_unsatisfiable_pre_in_a_nonempty_box_is_vacuous(self):
+        dom = make_domain([(0, 3)])
+        tree = load_tree(constant_tree_doc(1), dom)
+        prop = SafetyProperty(parse_predicate("f0 = 2 && f0 != 2", dom), frozenset({1}))
+        assert bounding_box(prop.pre, dom) == ((2, 2),)
+        report = safety(tree, prop, dom)
+        assert (report.pre_size, report.sat_count, report.viol_count) == (0, 0, 0)
+        assert report.vacuous
+
+
+class TestManager:
+    def test_variable_order_is_msb_first_and_interleaved(self):
+        dom = make_domain([(0, 7), (0, 1), (0, 3)])
+        circ = Circuit(dom)
+        # feature bits: f0 -> 0,1,2; f1 -> 3; f2 -> 4,5 (LSB first)
+        assert variable_order(circ) == [2, 3, 5, 1, 4, 0]
+
+    def test_graph_property_counts(self):
+        dom = graph_domain(4)
+        circ = Circuit(dom)
+        roots = {
+            name: compile_predicate(circ, builtin_graph_property(name, 4))
+            for name in ("reflexive", "antisymmetric", "transitive", "totalorder")
+        }
+        got = {name: r.count for name, r in count_roots(circ, roots).items()}
+        assert got == {"reflexive": 4096, "antisymmetric": 11664, "transitive": 3994, "totalorder": 24}
+
+    def test_count_projected_counts_circuit_roots(self, monkeypatch):
+        dom = make_domain([(-3, 4), (0, 5)])
+        circ = Circuit(dom)
+        root = compile_predicate(circ, parse_predicate("f0 < f1 || f0 == 4", dom))
+        got = count_projected(CircuitRoot(BddManager(circ), root))
+        assert (got.method, got.exhausted) == ("bdd", False)
+        assert got.count == count_projected(tseitin(circ, root)).count
+        # count_roots goes through the module attribute, so replacing it is seen
+        seen = []
+        monkeypatch.setattr(exactml.counter, "count_projected", lambda r: seen.append(r) or r.count())
+        assert count_roots(circ, {"p": root})["p"].count == got.count
+        assert [r.wire for r in seen] == [root]
+
+    def test_node_budget_is_shared_by_all_roots(self):
+        dom = graph_domain(4)
+        circ = Circuit(dom)
+        small = compile_predicate(circ, builtin_graph_property("reflexive", 4))
+        large = compile_predicate(circ, builtin_graph_property("transitive", 4))
+        alone = count_roots(circ, {"small": small})["small"]
+        budget = alone.stats["nodes"] + 10
+        results = count_roots(circ, {"small": small, "large": large}, budget)
+        assert results["small"].count == 4096
+        assert results["large"].exhausted and results["large"].count is None
+        assert results["large"].stats["nodes"] <= budget
+        # the same root alone fits; after the large one has spent the budget it does not
+        late = count_roots(circ, {"large": large, "small": small}, budget)
+        assert late["large"].exhausted and late["small"].exhausted
+
+    def test_collection_frees_dead_wires_and_keeps_counts(self, monkeypatch):
+        monkeypatch.setattr(exactml.bdd, "GC_MIN_NODES", 64)
+        dom = graph_domain(4)
+        circ = Circuit(dom)
+        roots = {
+            name: compile_predicate(circ, builtin_graph_property(name, 4))
+            for name in ("transitive", "totalorder")
+        }
+        plain = BddManager(circ)
+        kept = BddManager(circ, keep=(*roots.values(), circ.domain_wire))
+        got = {name: CircuitRoot(kept, root).count().count for name, root in roots.items()}
+        assert got == {name: CircuitRoot(plain, root).count().count for name, root in roots.items()}
+        assert got == {"transitive": 3994, "totalorder": 24}
+        # fewer slots ever held than nodes created without freeing; freed nodes
+        # made again still count against the budget
+        assert len(kept.level) - 2 < plain.size <= kept.size
+        assert kept.free and set(kept.wire_node) == kept.keep
+
+    def test_budget_gap_in_metrics(self):
+        dom = graph_domain(3)
+        tree = load_tree(constant_tree_doc(1), dom)
+        truth = {1: builtin_graph_property("transitive", 3), 0: Not(builtin_graph_property("transitive", 3))}
+        report = learnability(tree, truth, dom, budget=5)
+        assert report.gaps and all(g.endswith("budget exhausted") for g in report.gaps)
+        assert any(not m.complete() for m in report.labels)
+
+    def test_apply_and_negate_keep_the_diagram_reduced(self):
+        dom = make_domain([(0, 3), (0, 3)])
+        circ = Circuit(dom)
+        manager = BddManager(circ)
+        a, b = circ.feature_bits(0)[1], circ.feature_bits(1)[1]
+        x = manager.node_of(circ.xor_(a, b))
+        assert manager.negate(manager.negate(x)) == x
+        assert manager.node_of(circ.not_(circ.xor_(a, b))) == manager.negate(x)
+        assert manager.count(x) == 8
+
+
+class TestDeepDomains:
+    N = 3000
+
+    def test_no_recursion_error_on_3000_binary_features(self):
+        dom = make_domain([(0, 1)] * self.N)
+        circ = Circuit(dom)
+        every = circ.const(True)
+        for i in reversed(range(self.N)):
+            every = circ.and_(circ.input_bit(i, 0), every)
+        results = count_roots(circ, {"every": every, "not_every": circ.not_(every)})
+        assert results["every"].count == 1
+        assert results["not_every"].count == 2**self.N - 1
+
+    def test_metrics_on_3000_binary_features(self):
+        dom = make_domain([(0, 1)] * self.N)
+        tree = load_tree(
+            {"num_labels": 2, "root": 0,
+             "nodes": [{"feature": 7, "threshold": 0, "left": 1, "right": 2},
+                       {"leaf": 0}, {"leaf": 1}]},
+            dom,
+        )
+        pred = CmpConst("=", 7, 1)
+        report = learnability(tree, {1: pred, 0: Not(pred)}, dom)
+        assert report.labels[1].tp == 2 ** (self.N - 1)
+        assert report.labels[1].accuracy == 1
+        prop = SafetyProperty(CmpConst("=", 7, 1), frozenset({1}))
+        assert safety(tree, prop, dom).sat_count == 2 ** (self.N - 1)
+        center = (1,) * self.N
+        rob = robustness(tree, center, 1, dom)
+        assert (rob.region_size, rob.correct_count) == (2**self.N, 2 ** (self.N - 1))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_suite_style_models_match_dpll(seed):
+    rng = random.Random(seed)
+    dom = make_domain([(0, 15), (-4, 3), (2, 9)])
+    model = random_network(rng, dom, hidden=(3,), num_labels=2)
+    truth = truth_family(rng, dom, 2)
+    got = learnability(model, truth, dom)
+    want = learnability(model, truth, dom, count_fn=DPLL)
+    assert got == want

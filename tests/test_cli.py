@@ -244,6 +244,21 @@ class TestExternalBackend:
         assert all(doc["labels"][l][kind] == 64
                    for l in (0, 1) for kind in ("tp", "fp", "tn", "fn"))
 
+    @pytest.mark.parametrize("script, stderr", [
+        ("import sys; sys.exit(3)", ""),
+        ("import sys; sys.stderr.write('out of memory'); sys.exit(3)", "out of memory"),
+    ])
+    def test_external_backend_nonzero_exit_is_an_input_error(self, workdir, capsys, script, stderr):
+        out = workdir / "ext-fail.json"
+        code = run(["learnability", "--domain", "graph3",
+                    "--model", workdir / "reflexive_tree.json",
+                    "--property", "reflexive", "--nodes", "3",
+                    "--backend", f'external:python3 -c "{script}" {{file}}', "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "exited with code 3" in err and stderr in err
+        assert not out.exists()
+
     def test_external_backend_bad_template(self, workdir, capsys):
         code = run(["learnability", "--domain", "graph3",
                     "--model", workdir / "reflexive_tree.json",
