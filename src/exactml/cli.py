@@ -100,7 +100,7 @@ def _parse_post(arg: str, n_labels: int) -> frozenset:
 
 def _make_count_fn(backend: str, budget: int, dialect: str):
     if backend == "builtin":
-        return metrics_mod.bdd_count_fn(budget)
+        return lambda circuit, roots: bdd.count_roots(circuit, roots, budget)
     for prefix, tool in (("external:", "projected_exact"), ("external-approx:", "approximate")):
         if backend.startswith(prefix):
             template = backend[len(prefix):]
@@ -220,48 +220,33 @@ def cmd_robustness(args) -> int:
     return EXIT_BUDGET if report.gaps else EXIT_OK
 
 
-_FORMULA_RE = re.compile(r"^(model|truth|tp|fp|tn|fn|pre|sat|viol|robustness)(?::(\d+))?$")
+_FORMULA_RE = re.compile(r"^(?:(model|truth|tp|fp|tn|fn):(\d+)|(pre|sat|viol|robustness))$")
 
 
 def _build_formula(args, domain, model):
-    """Resolve --formula into a circuit root; see README for the syntax."""
+    """Resolve --formula into a root of a full-domain circuit; see README for the syntax."""
     match = _FORMULA_RE.match(args.formula)
     if not match:
         raise CliError(f"bad --formula {args.formula!r}")
-    what, label = match.group(1), match.group(2)
-    label = int(label) if label is not None else None
-    circ = circuit_mod.compile_model(model, domain)
+    what, label, name = match.groups()
+    if what == "model":
+        circ = circuit_mod.compile_model(model, domain)
+        return circ, circ.output(f"model_{int(label)}")
     n = models.num_labels(model)
-
-    if what in ("model",):
-        if label is None:
-            raise CliError("model formula needs a label, e.g. model:1")
-        return circ, circ.output(f"model_{label}")
-    if what in ("truth", "tp", "fp", "tn", "fn"):
-        if label is None:
-            raise CliError(f"{what} formula needs a label, e.g. {what}:1")
+    if what is not None:
         truth = _truth_predicates(args, domain, n)
-        for l in sorted(truth):
-            circuit_mod.compile_predicate(circ, truth[l], f"truth_{l}")
+        circ, roots = metrics_mod.learnability_plan(model, truth, domain)
         if what == "truth":
-            return circ, circ.output(f"truth_{label}")
-        return circ, circuit_mod.compose_metric(circ, label, what)
-    if what in ("pre", "sat", "viol"):
-        prop = _safety_property(args, domain, n)
-        pre = circuit_mod.compile_predicate(circ, prop.pre, "pre")
-        if what == "pre":
-            return circ, pre
-        post = circ.or_all([circ.output(f"model_{l}") for l in sorted(prop.allowed)])
-        if what == "sat":
-            return circ, circ.and_(pre, post)
-        return circ, circ.and_(pre, circ.not_(post))
-    # robustness
-    if args.center is None:
-        raise CliError("robustness formula needs --center")
-    center = _parse_center(args.center)
-    target = models.eval_model(model, center, domain)
-    reg = predicates.region(center, args.epsilon, domain)
-    return circ, circuit_mod.constrain_region(circ, circ.output(f"model_{target}"), reg)
+            return circ, circ.output(f"truth_{int(label)}")
+        name = f"{what}:{int(label)}"
+    elif name == "robustness":
+        center = _parse_center(args.center)
+        circ, roots = metrics_mod.robustness_plan(model, center, args.epsilon, domain)
+    else:
+        circ, roots = metrics_mod.safety_plan(model, _safety_property(args, domain, n), domain)
+    if name not in roots:
+        raise CliError(f"no {name} root: the model has labels 0..{n - 1}")
+    return circ, roots[name]
 
 
 def cmd_emit(args) -> int:
@@ -378,6 +363,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.budget <= 0:
         print("error: --budget must be positive", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.samples < 0:
+        print("error: --samples must not be negative", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         return args.func(args)

@@ -1,9 +1,11 @@
 """Exact learnability, safety and robustness quantification.
 
-Each metric counts circuit roots: confusion-cell conjunctions of ground
-truth and model decision for learnability, Pre conjoined with the
-(violated) post-condition for safety, and the model's own decision wire
-for robustness. All the roots of one metric go to the counter in one call.
+Each metric counts the named roots of its plan (`learnability_plan`,
+`safety_plan`, `robustness_plan`): confusion-cell conjunctions of ground
+truth and model decision, Pre conjoined with the (violated) post-condition,
+and the center's decision inside the region. All the roots of one metric go
+to the counter in one call; `exactml emit` encodes the same roots over the
+full domain.
 Robustness and safety compile the model over the property's box (the
 L-infinity region, or the bounding box of Pre) instead of the whole domain:
 no input outside the box can satisfy the root, so the counts are the same
@@ -21,7 +23,9 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import bdd
-from .circuit import METRIC_KINDS, Circuit, compile_model, compile_predicate, compose_metric
+from .circuit import (
+    METRIC_KINDS, Circuit, compile_model, compile_predicate, compose_metric, constrain_region,
+)
 from .cnf import CnfFormula, tseitin
 from .counter import CountResult
 from .models import InputDomain, Model, ModelError, eval_model, num_labels
@@ -37,6 +41,8 @@ from .predicates import (
 # count_fn(circuit, {name: root}) -> {name: CountResult}; each count ranges
 # over the circuit's domain
 CountFn = Callable[[Circuit, Mapping[str, int]], dict[str, CountResult]]
+# a metric's circuit and its named roots
+Plan = tuple[Circuit, dict[str, int]]
 
 DEFAULT_SEED = 0
 
@@ -106,16 +112,52 @@ def binary_truth(pred: Predicate) -> dict[int, Predicate]:
     return {1: pred, 0: Not(pred)}
 
 
-def bdd_count_fn(budget: Optional[int] = None) -> CountFn:
-    """The builtin counter: one BDD manager per call, under a node budget."""
-    if budget is None:
-        budget = bdd.DEFAULT_NODE_BUDGET
-    return lambda circuit, roots: bdd.count_roots(circuit, roots, budget)
-
-
 def tseitin_count_fn(count: Callable[[CnfFormula], CountResult]) -> CountFn:
     """A CNF counter behind the CountFn signature: one Tseitin formula per root."""
     return lambda circuit, roots: {name: count(tseitin(circuit, root)) for name, root in roots.items()}
+
+
+def learnability_plan(
+    model: Model, truth_predicates: Mapping[int, Predicate], domain: InputDomain
+) -> Plan:
+    """The confusion cells `tp:L`, `fp:L`, `tn:L`, `fn:L` of every label L."""
+    labels = range(num_labels(model))
+    if sorted(truth_predicates) != list(labels):
+        raise ModelError(
+            f"need one truth predicate per label {list(labels)}, got {sorted(truth_predicates)}"
+        )
+    circuit = compile_model(model, domain)
+    for l in labels:
+        compile_predicate(circuit, truth_predicates[l], f"truth_{l}")
+    return circuit, {
+        f"{kind}:{l}": compose_metric(circuit, l, kind) for l in labels for kind in METRIC_KINDS
+    }
+
+
+def safety_plan(model: Model, prop: SafetyProperty, domain: InputDomain) -> Plan:
+    """`pre`, and Pre conjoined with Post (`sat`) and with its negation (`viol`)."""
+    circuit = compile_model(model, domain)
+    pre = compile_predicate(circuit, prop.pre, "pre")
+    post = circuit.or_all([circuit.output(f"model_{l}") for l in sorted(prop.allowed)])
+    return circuit, {
+        "pre": pre,
+        "sat": circuit.and_(pre, post),
+        "viol": circuit.and_(pre, circuit.not_(post)),
+    }
+
+
+def robustness_plan(model: Model, center: Sequence[int], epsilon: int, domain: InputDomain) -> Plan:
+    """`robustness`: the center's decision inside the L-inf region.
+
+    Over the region's own box every interval spans its feature, so the
+    region constraint adds no gate there.
+    """
+    target = eval_model(model, center, domain)
+    reg = region(center, epsilon, domain)
+    circuit = compile_model(model, domain)
+    return circuit, {
+        "robustness": constrain_region(circuit, circuit.output(f"model_{target}"), reg)
+    }
 
 
 def learnability(
@@ -123,27 +165,15 @@ def learnability(
     truth_predicates: Mapping[int, Predicate],
     domain: InputDomain,
     count_fn: Optional[CountFn] = None,
-    budget: Optional[int] = None,
 ) -> MetricsReport:
     """TP/FP/TN/FN over the whole domain for every label, plus derived ratios."""
-    labels = list(range(num_labels(model)))
-    if sorted(truth_predicates) != labels:
-        raise ModelError(
-            f"need one truth predicate per label {labels}, got {sorted(truth_predicates)}"
-        )
-    counter = count_fn or bdd_count_fn(budget)
-    circuit = compile_model(model, domain)
-    for l in labels:
-        compile_predicate(circuit, truth_predicates[l], f"truth_{l}")
-    results = counter(
-        circuit,
-        {f"{kind}:{l}": compose_metric(circuit, l, kind) for l in labels for kind in METRIC_KINDS},
-    )
+    circuit, roots = learnability_plan(model, truth_predicates, domain)
+    results = (count_fn or bdd.count_roots)(circuit, roots)
 
     size = domain.size()
     gaps = []
     per_label = []
-    for l in labels:
+    for l in range(num_labels(model)):
         cells = {}
         for kind in METRIC_KINDS:
             result = results[f"{kind}:{l}"]
@@ -166,7 +196,6 @@ def safety(
     prop: SafetyProperty,
     domain: InputDomain,
     count_fn: Optional[CountFn] = None,
-    budget: Optional[int] = None,
 ) -> SafetyReport:
     """Counts of Pre-inputs on which the decision does / does not meet Post.
 
@@ -179,18 +208,8 @@ def safety(
     box = bounding_box(prop.pre, domain)
     if box is None:
         return SafetyReport(0, 0, 0, None, True)
-    counter = count_fn or bdd_count_fn(budget)
-    circuit = compile_model(model, box_domain(domain, box))
-    pre = compile_predicate(circuit, prop.pre, "pre")
-    post = circuit.or_all([circuit.output(f"model_{l}") for l in sorted(prop.allowed)])
-    results = counter(
-        circuit,
-        {
-            "pre": pre,
-            "sat": circuit.and_(pre, post),
-            "viol": circuit.and_(pre, circuit.not_(post)),
-        },
-    )
+    circuit, roots = safety_plan(model, prop, box_domain(domain, box))
+    results = (count_fn or bdd.count_roots)(circuit, roots)
 
     gaps = [f"{name}: budget exhausted" for name, r in results.items() if r.exhausted]
     pre_size, sat, viol = (results[name].count for name in ("pre", "sat", "viol"))
@@ -207,18 +226,16 @@ def robustness(
     epsilon: int,
     domain: InputDomain,
     count_fn: Optional[CountFn] = None,
-    budget: Optional[int] = None,
 ) -> RobustnessReport:
     """Fraction of the L-inf ball around `center` classified like the center.
 
     The model is compiled over the ball itself, so its circuit reads only
     the bits that vary inside the ball.
     """
-    counter = count_fn or bdd_count_fn(budget)
     target = eval_model(model, center, domain)
     reg = region(center, epsilon, domain)
-    circuit = compile_model(model, box_domain(domain, reg.intervals))
-    result = counter(circuit, {"robustness": circuit.output(f"model_{target}")})["robustness"]
+    circuit, roots = robustness_plan(model, center, epsilon, box_domain(domain, reg.intervals))
+    result = (count_fn or bdd.count_roots)(circuit, roots)["robustness"]
     if result.exhausted:
         return RobustnessReport(
             target, reg.size(), None, None, tuple(center), epsilon,
@@ -247,14 +264,6 @@ def _decode_point(domain: InputDomain, index: int) -> tuple[int, ...]:
     return tuple(reversed(values))
 
 
-def _sample_indices(rng: random.Random, size: int, n: int, with_replacement: bool):
-    if not with_replacement and n >= size:
-        return range(size)  # exhaustive
-    if with_replacement:
-        return [rng.randrange(size) for _ in range(n)]
-    return rng.sample(range(size), n)
-
-
 def statistical_baseline(
     model: Model,
     domain: InputDomain,
@@ -273,53 +282,51 @@ def statistical_baseline(
     label matches the ground truth), "safety_accuracy", or "robustness".
     Sampling without replacement with n_samples covering the population is an
     exhaustive pass and reproduces the exact value. Returns None when no
-    sample satisfies the safety precondition.
+    sample is scored (safety scores only the samples that satisfy Pre).
     """
-    rng = random.Random(seed)
+    # each kind picks a population and a per-point outcome: True, False, or
+    # None for a point it does not score
+    population = domain
     if kind == "learnability_accuracy":
         if truth_predicates is None:
             raise ValueError("learnability baseline needs truth_predicates")
-        hits = 0
-        indices = _sample_indices(rng, domain.size(), n_samples, with_replacement)
-        total = 0
-        for idx in indices:
-            point = _decode_point(domain, idx)
-            total += 1
-            if truth_predicates[eval_model(model, point, domain)].evaluate(point):
-                hits += 1
-        return Fraction(hits, total)
-    if kind == "robustness":
+
+        def outcome(point):
+            return truth_predicates[eval_model(model, point, domain)].evaluate(point)
+    elif kind == "robustness":
         if center is None or epsilon is None:
             raise ValueError("robustness baseline needs center and epsilon")
-        reg = region(center, epsilon, domain)
+        population = box_domain(domain, region(center, epsilon, domain).intervals)
         target = eval_model(model, center, domain)
-        reg_domain = box_domain(domain, reg.intervals)
-        hits = 0
-        indices = _sample_indices(rng, reg.size(), n_samples, with_replacement)
-        total = 0
-        for idx in indices:
-            point = _decode_point(reg_domain, idx)
-            total += 1
-            if eval_model(model, point, domain) == target:
-                hits += 1
-        return Fraction(hits, total)
-    if kind == "safety_accuracy":
+
+        def outcome(point):
+            return eval_model(model, point, domain) == target
+    elif kind == "safety_accuracy":
         if prop is None:
             raise ValueError("safety baseline needs prop")
-        sat = viol = 0
-        indices = _sample_indices(rng, domain.size(), n_samples, with_replacement)
-        for idx in indices:
-            point = _decode_point(domain, idx)
+
+        def outcome(point):
             if not prop.pre.evaluate(point):
-                continue
-            if eval_model(model, point, domain) in prop.allowed:
-                sat += 1
-            else:
-                viol += 1
-        if sat + viol == 0:
-            return None
-        return Fraction(sat, sat + viol)
-    raise ValueError(f"unknown baseline kind {kind!r}")
+                return None
+            return eval_model(model, point, domain) in prop.allowed
+    else:
+        raise ValueError(f"unknown baseline kind {kind!r}")
+
+    rng = random.Random(seed)
+    size = population.size()
+    if with_replacement:
+        indices = [rng.randrange(size) for _ in range(n_samples)]
+    elif n_samples >= size:
+        indices = range(size)  # exhaustive
+    else:
+        indices = rng.sample(range(size), n_samples)
+    hits = scored = 0
+    for idx in indices:
+        hit = outcome(_decode_point(population, idx))
+        if hit is not None:
+            scored += 1
+            hits += hit
+    return Fraction(hits, scored) if scored else None
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ class TestManager:
         dom = graph_domain(3)
         tree = load_tree(constant_tree_doc(1), dom)
         truth = {1: builtin_graph_property("transitive", 3), 0: Not(builtin_graph_property("transitive", 3))}
-        report = learnability(tree, truth, dom, budget=5)
+        report = learnability(tree, truth, dom, count_fn=lambda c, r: count_roots(c, r, 5))
         assert report.gaps and all(g.endswith("budget exhausted") for g in report.gaps)
         assert any(not m.complete() for m in report.labels)
 

@@ -1,11 +1,24 @@
 import json
+import random
 
 import pytest
 
 from exactml.cli import main
 from exactml.cnf import parse_dimacs
+from exactml.counter import count_projected
+from exactml.metrics import binary_truth
+from exactml.models import domain_to_document, network_to_document, tree_to_document
+from exactml.oracle import brute_count_predicate
+from exactml.predicates import bounding_box, parse_predicate
 
-from conftest import XOR_TREE_DOC, constant_tree_doc, reflexive_tree_doc
+from conftest import (
+    XOR_TREE_DOC,
+    constant_tree_doc,
+    make_domain,
+    random_network,
+    random_tree,
+    reflexive_tree_doc,
+)
 
 
 @pytest.fixture
@@ -78,6 +91,13 @@ class TestLearnability:
         assert code == 1
         assert "binary features" in capsys.readouterr().err
 
+    def test_negative_samples_is_an_input_error(self, workdir, capsys):
+        code = run(["learnability", "--domain", "graph3",
+                    "--model", workdir / "reflexive_tree.json",
+                    "--property", "reflexive", "--nodes", "3", "--samples", "-1"])
+        assert code == 1
+        assert "--samples" in capsys.readouterr().err
+
 
 class TestSafety:
     def test_post_all_labels_accuracy_one(self, workdir):
@@ -148,6 +168,13 @@ class TestRobustness:
         assert code == 1
         assert "center" in capsys.readouterr().err
 
+    def test_negative_samples_is_an_input_error(self, workdir, capsys):
+        code = run(["robustness", "--domain", workdir / "bits2.json",
+                    "--model", workdir / "xor_tree.json",
+                    "--center", "0,0", "--epsilon", "1", "--samples", "-1"])
+        assert code == 1
+        assert "--samples" in capsys.readouterr().err
+
     def test_formula_label_out_of_range(self, workdir, capsys):
         code = run(["emit", "--domain", workdir / "bits2.json",
                     "--model", workdir / "xor_tree.json", "--formula", "model:9"])
@@ -175,10 +202,63 @@ class TestEmit:
         lines = out.read_text().splitlines()
         assert sum(1 for l in lines if l.startswith("c p show")) == 1
 
-    def test_bad_formula(self, workdir, capsys):
+    # model, truth and the confusion cells need a label; the other roots take none
+    @pytest.mark.parametrize("formula", [
+        "bogus:1", "model", "truth", "tp", "fn:", "model:-1", "tp:x",
+        "pre:7", "sat:1", "viol:0", "robustness:1",
+    ])
+    def test_bad_formula(self, workdir, capsys, formula):
         code = run(["emit", "--domain", workdir / "bits2.json",
-                    "--model", workdir / "xor_tree.json", "--formula", "bogus:1"])
+                    "--model", workdir / "xor_tree.json", "--formula", formula])
         assert code == 1
+        assert "bad --formula" in capsys.readouterr().err
+
+
+class TestEmitCountsLikeMetrics:
+    """Every --formula root, parsed back and counted, equals its report's count."""
+
+    TRUTH = "f0 <= 3 || f1 > 0"
+    PRE = "f0 >= 2 && f1 <= 1 && f2 != 4"
+    CENTER, EPSILON = "3,0,2", "1"
+
+    @pytest.mark.parametrize("kind", ["tree", "network"])
+    def test_every_formula_counts_like_its_metric(self, tmp_path, kind):
+        domain = make_domain([(0, 7), (-2, 5), (0, 5)])
+        rng = random.Random(5)
+        if kind == "tree":
+            doc = tree_to_document(random_tree(rng, domain))
+        else:
+            doc = network_to_document(random_network(rng, domain, hidden=(3,), weight_range=5))
+        (tmp_path / "domain.json").write_text(json.dumps(domain_to_document(domain)))
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        (tmp_path / "truth.pred").write_text(self.TRUTH)
+        # the metrics count over Pre's box, emit over the full domain
+        box = bounding_box(parse_predicate(self.PRE, domain), domain)
+        assert box != tuple((f.lo, f.hi) for f in domain.features)
+
+        args = ["--domain", tmp_path / "domain.json", "--model", tmp_path / "model.json",
+                "--property", tmp_path / "truth.pred", "--pre", self.PRE, "--post", "1",
+                "--center", self.CENTER, "--epsilon", self.EPSILON]
+
+        def report(command):
+            out = tmp_path / f"{command}.json"
+            assert run([command, *args, "--out", out]) == 0
+            return json.loads(out.read_text())
+
+        learn, safe, rob = report("learnability"), report("safety"), report("robustness")
+        want = {"pre": safe["pre_size"], "sat": safe["sat_count"], "viol": safe["viol_count"],
+                "robustness": rob["correct_count"]}
+        truth = binary_truth(parse_predicate(self.TRUTH, domain))
+        for label in (0, 1):
+            want[f"truth:{label}"] = brute_count_predicate(truth[label], domain)
+            for cell in ("tp", "fp", "tn", "fn"):
+                want[f"{cell}:{label}"] = learn["labels"][label][cell]
+        assert 0 < want["viol"] < want["pre"]
+
+        for formula, count in want.items():
+            out = tmp_path / "f.cnf"
+            assert run(["emit", *args, "--formula", formula, "--out", out]) == 0
+            assert count_projected(parse_dimacs(out.read_text())).count == count, formula
 
 
 class TestOracleCommand:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from exactml.bdd import count_roots
 from exactml.metrics import (
     binary_truth,
     learnability,
@@ -100,7 +101,9 @@ class TestLearnability:
 
     def test_budget_exhaustion_reports_gaps(self, graph4, reflexive4):
         tree = load_tree(reflexive_tree_doc(4), graph4)
-        report = learnability(tree, binary_truth(reflexive4), graph4, budget=1)
+        report = learnability(
+            tree, binary_truth(reflexive4), graph4, count_fn=lambda c, r: count_roots(c, r, 1)
+        )
         assert report.gaps
         doc = metrics_to_document(report)
         assert doc["gaps"]
