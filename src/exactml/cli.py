@@ -9,6 +9,7 @@ files. Exit codes: 0 success, 1 input error, 2 counter budget exhausted,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import shlex
@@ -303,8 +304,19 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with the input-error exit code, not argparse's 2.
+
+    Exit code 2 means a counter budget was exhausted.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="exactml",
         description="Exact model metrics via circuit compilation and projected model counting.",
     )
@@ -324,8 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dialect", default="ind_comment",
                        choices=list(cnf_mod.DIALECTS))
         p.add_argument("--budget", type=int, default=bdd.DEFAULT_NODE_BUDGET,
-                       help="node budget of the builtin BDD counter, shared by all the "
-                            "counts of one command (default %(default)s)")
+                       help="budget of the builtin counter, shared by all the counts of "
+                            "one command: one unit per truth table on circuits of up to "
+                            f"{bdd.TABLE_MAX_BITS} input bits, per BDD node beyond "
+                            "(default %(default)s)")
         p.add_argument("--seed", type=int, default=metrics_mod.DEFAULT_SEED)
         p.add_argument("--samples", type=int, default=0,
                        help="if > 0, add a seeded statistical baseline to the report")
@@ -358,9 +372,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.lru_cache(maxsize=None)(build_parser)  # one per process
+
+# a value such as "-1,0" looks like an option to argparse
+_NEGATIVE_VALUE_RE = re.compile(r"^-\d+(,\s*-?\d+)*$")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Write `--opt -1,0` as `--opt=-1,0`, so the value is not read as an option."""
+    joined: list[str] = []
+    for arg in argv:
+        prev = joined[-1] if joined else ""
+        if _NEGATIVE_VALUE_RE.match(arg) and prev.startswith("--") and "=" not in prev:
+            joined[-1] = f"{prev}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser().parse_args(_join_negative_values(list(argv)))
     if args.budget <= 0:
         print("error: --budget must be positive", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -1,10 +1,10 @@
 """Exact projected model counting, plus adapters for external counters.
 
 `count_projected` is the package's one counting entry point. A
-`bdd.CircuitRoot` counts itself through its BDD manager; a `CnfFormula` is
-counted by a DPLL that only ever branches on projection variables, while
-unit propagation (two watched literals, over all variables) handles the
-auxiliaries. For the Tseitin formulas produced by this package
+`bdd.CircuitRoot` counts itself through its manager (truth tables or a
+BDD); a `CnfFormula` is counted by a DPLL that only ever branches on
+projection variables, while unit propagation (two watched literals, over
+all variables) handles the auxiliaries. For the Tseitin formulas produced by this package
 a total projection assignment determines every auxiliary by propagation, so
 each branch contributes exactly 0 or 1; a generic satisfiability fallback
 keeps foreign DIMACS inputs correct as well. Execution is deterministic:
@@ -30,7 +30,7 @@ ENUMERATE_CAP = 24
 @dataclass
 class CountResult:
     count: Optional[int]  # None iff exhausted
-    method: str  # "bdd" | "dpll_projected" | "enumeration" | "external"
+    method: str  # "table" | "bdd" | "dpll_projected" | "enumeration" | "external"
     stats: dict = field(default_factory=dict)
     exhausted: bool = False
 
@@ -275,7 +275,7 @@ def count_projected(cnf, budget: int = DEFAULT_BUDGET) -> CountResult:
 
     `cnf` is a `CnfFormula`, counted by the DPLL under a decision budget, or
     a `bdd.CircuitRoot`, whose projection is its circuit's input bits and
-    which counts through its BDD manager under that manager's node budget.
+    which counts through its manager under that manager's budget.
     """
     if not isinstance(cnf, CnfFormula):
         return cnf.count()

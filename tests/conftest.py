@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
+import exactml.bdd
 from exactml.models import InputDomain, load_domain, load_network, load_tree
 from exactml.predicates import And, CmpConst, Not, Or, Predicate
 
@@ -14,6 +15,21 @@ def make_domain(ranges, prefix="f"):
     return load_domain(
         {"features": [{"name": f"{prefix}{i}", "lo": lo, "hi": hi} for i, (lo, hi) in enumerate(ranges)]}
     )
+
+
+@pytest.fixture(scope="class")
+def bdd_only():
+    """Counts every circuit on the BDD, however few its input bits."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactml.bdd, "TABLE_MAX_BITS", -1)
+        yield
+
+
+def count_on_bdd(circuit, roots):
+    """`bdd.count_roots` with every circuit on the BDD: a `count_fn` for the metrics."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactml.bdd, "TABLE_MAX_BITS", -1)
+        return exactml.bdd.count_roots(circuit, roots)
 
 
 BITS2 = [(0, 1), (0, 1)]

@@ -6,7 +6,7 @@ import pytest
 
 import exactml.bdd
 import exactml.counter
-from exactml.bdd import BddManager, CircuitRoot, count_roots, variable_order
+from exactml.bdd import BddManager, CircuitRoot, TableManager, count_roots, variable_order
 from exactml.circuit import Circuit, compile_predicate
 from exactml.cnf import tseitin
 from exactml.counter import count_projected
@@ -18,6 +18,7 @@ from exactml.metrics import (
     tseitin_count_fn,
 )
 from exactml.models import load_tree
+from exactml.oracle import enumerate_domain
 from exactml.predicates import (
     And,
     CmpConst,
@@ -34,6 +35,11 @@ from exactml.predicates import (
 from conftest import constant_tree_doc, make_domain, random_network, truth_family
 
 DPLL = tseitin_count_fn(count_projected)
+
+
+def _spent(result):
+    """Budget units the manager had spent when `result` was counted."""
+    return result.stats[{"table": "tables", "bdd": "nodes"}[result.method]]
 
 
 class TestBoundingBox:
@@ -90,6 +96,8 @@ class TestBoundingBox:
 
 
 class TestManager:
+    METHOD = "table"  # what count_roots uses on these small domains
+
     def test_variable_order_is_msb_first_and_interleaved(self):
         dom = make_domain([(0, 7), (0, 1), (0, 3)])
         circ = Circuit(dom)
@@ -103,16 +111,19 @@ class TestManager:
             name: compile_predicate(circ, builtin_graph_property(name, 4))
             for name in ("reflexive", "antisymmetric", "transitive", "totalorder")
         }
-        got = {name: r.count for name, r in count_roots(circ, roots).items()}
+        results = count_roots(circ, roots)
+        assert {r.method for r in results.values()} == {self.METHOD}
+        got = {name: r.count for name, r in results.items()}
         assert got == {"reflexive": 4096, "antisymmetric": 11664, "transitive": 3994, "totalorder": 24}
 
     def test_count_projected_counts_circuit_roots(self, monkeypatch):
         dom = make_domain([(-3, 4), (0, 5)])
         circ = Circuit(dom)
         root = compile_predicate(circ, parse_predicate("f0 < f1 || f0 == 4", dom))
-        got = count_projected(CircuitRoot(BddManager(circ), root))
-        assert (got.method, got.exhausted) == ("bdd", False)
-        assert got.count == count_projected(tseitin(circ, root)).count
+        for manager in (BddManager(circ), TableManager(circ)):
+            got = count_projected(CircuitRoot(manager, root))
+            assert (got.method, got.exhausted) == (manager.method, False)
+            assert got.count == count_projected(tseitin(circ, root)).count
         # count_roots goes through the module attribute, so replacing it is seen
         seen = []
         monkeypatch.setattr(exactml.counter, "count_projected", lambda r: seen.append(r) or r.count())
@@ -125,11 +136,12 @@ class TestManager:
         small = compile_predicate(circ, builtin_graph_property("reflexive", 4))
         large = compile_predicate(circ, builtin_graph_property("transitive", 4))
         alone = count_roots(circ, {"small": small})["small"]
-        budget = alone.stats["nodes"] + 10
+        assert alone.method == self.METHOD
+        budget = _spent(alone) + 10
         results = count_roots(circ, {"small": small, "large": large}, budget)
         assert results["small"].count == 4096
         assert results["large"].exhausted and results["large"].count is None
-        assert results["large"].stats["nodes"] <= budget
+        assert _spent(results["large"]) <= budget
         # the same root alone fits; after the large one has spent the budget it does not
         late = count_roots(circ, {"large": large, "small": small}, budget)
         assert late["large"].exhausted and late["small"].exhausted
@@ -169,6 +181,38 @@ class TestManager:
         assert manager.negate(manager.negate(x)) == x
         assert manager.node_of(circ.not_(circ.xor_(a, b))) == manager.negate(x)
         assert manager.count(x) == 8
+
+
+@pytest.mark.usefixtures("bdd_only")
+class TestManagerOnBdd(TestManager):
+    """The same checks with every circuit counted on the BDD."""
+
+    METHOD = "bdd"
+
+
+@pytest.mark.parametrize("extra_bits, method", [(0, "table"), (1, "bdd")], ids=["table", "bdd"])
+def test_table_max_bits_is_the_boundary(extra_bits, method):
+    # f0 < f1 over two 10-bit features has C(1024, 2) models on either side
+    assert exactml.bdd.TABLE_MAX_BITS == 20
+    dom = make_domain([(0, 1023), (0, 1023)] + [(0, 1)] * extra_bits)
+    circ = Circuit(dom)
+    text = "f0 < f1" + " && f2 = 0" * extra_bits
+    assert circ.num_input_bits == exactml.bdd.TABLE_MAX_BITS + extra_bits
+    result = count_roots(circ, {"lt": compile_predicate(circ, parse_predicate(text, dom))})["lt"]
+    assert (result.method, result.count) == (method, 1024 * 1023 // 2)
+
+
+def test_a_table_bit_is_the_wire_at_that_point():
+    # bit p of a table is the wire's value where input bit i is bit i of p
+    dom = make_domain([(0, 3), (-2, 1)])
+    circ = Circuit(dom)
+    root = compile_predicate(circ, parse_predicate("f0 < f1 || f1 = -1", dom))
+    manager = TableManager(circ)
+    tables = {w: manager.node_of(w) for w in (*range(circ.num_input_bits), root)}
+    for point in enumerate_domain(dom):
+        p = sum((v - f.lo) << off for v, f, off in zip(point, dom.features, circ.offsets))
+        values = circ.simulate(point)
+        assert {w: (t >> p) & 1 for w, t in tables.items()} == {w: int(values[w]) for w in tables}
 
 
 class TestDeepDomains:

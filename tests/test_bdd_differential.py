@@ -1,7 +1,9 @@
-"""Differential checks on random small domains: BDD, DPLL and the oracle agree.
+"""Differential checks on random small domains: tables, BDD, DPLL and the oracle agree.
 
 Domains have negative lower bounds, single-point features and
-non-power-of-two ranges. Needs `hypothesis`; skipped where it is missing.
+non-power-of-two ranges, so `count_roots` puts all of them on truth tables;
+each check also counts them on the BDD (`count_on_bdd`). Needs
+`hypothesis`; skipped where it is missing.
 """
 
 import random
@@ -28,6 +30,7 @@ from exactml.oracle import (  # noqa: E402
 from exactml.predicates import SafetyProperty, bounding_box, region  # noqa: E402
 
 from conftest import (  # noqa: E402
+    count_on_bdd,
     make_domain,
     random_network,
     random_point,
@@ -62,10 +65,11 @@ class TestDifferential:
         model = _random_model(rng, dom, kind)
         circ = compile_model(model, dom)
         roots = {l: circ.output(f"model_{l}") for l in range(num_labels(model))}
-        counted = count_roots(circ, roots)
+        tables, bdds = count_roots(circ, roots), count_on_bdd(circ, roots)
         for l, root in roots.items():
             want = sum(1 for p in enumerate_domain(dom) if eval_model(model, p, dom) == l)
-            assert counted[l].count == want
+            assert (tables[l].method, tables[l].count) == ("table", want)
+            assert (bdds[l].method, bdds[l].count) == ("bdd", want)
             assert count_projected(tseitin(circ, root)).count == want
 
     @SETTINGS
@@ -78,6 +82,7 @@ class TestDifferential:
         root = compile_predicate(circ, pred)
         want = brute_count_predicate(pred, dom)
         assert count_roots(circ, {"p": root})["p"].count == want
+        assert count_on_bdd(circ, {"p": root})["p"].count == want
         assert count_projected(tseitin(circ, root)).count == want
 
     @SETTINGS
@@ -88,7 +93,7 @@ class TestDifferential:
         model = _random_model(rng, dom, kind)
         truth = truth_family(rng, dom, num_labels(model))
         want = brute_learnability(model, truth, dom).counts
-        for count_fn in (None, DPLL):
+        for count_fn in (None, count_on_bdd, DPLL):
             report = learnability(model, truth, dom, count_fn=count_fn)
             for m in report.labels:
                 for kind_ in ("tp", "fp", "tn", "fn"):
@@ -102,7 +107,7 @@ class TestDifferential:
         model = _random_model(rng, dom, kind)
         center = random_point(rng, dom)
         size, correct = brute_robustness(model, center, region(center, eps, dom), dom)
-        for count_fn in (None, DPLL):
+        for count_fn in (None, count_on_bdd, DPLL):
             report = robustness(model, center, eps, dom, count_fn=count_fn)
             assert (report.region_size, report.correct_count) == (size, correct)
 
@@ -120,7 +125,7 @@ class TestDifferential:
                     sat += 1
                 else:
                     viol += 1
-        for count_fn in (None, DPLL):
+        for count_fn in (None, count_on_bdd, DPLL):
             report = safety(model, prop, dom, count_fn=count_fn)
             assert (report.pre_size, report.sat_count, report.viol_count) == (sat + viol, sat, viol)
             assert report.vacuous == (sat + viol == 0)

@@ -99,6 +99,23 @@ class TestLearnability:
         assert "--samples" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    """argparse's own errors exit 1 (input error); 2 means a budget ran out."""
+
+    @pytest.mark.parametrize("args, needle", [
+        (["learnability", "--domain", "graph3", "--property", "reflexive", "--nodes", "3"], "--model"),
+        (["robustness", "--model", "m.json", "--epsilon", "one"], "--epsilon"),
+        (["count"], "invalid choice"),
+        ([], "required"),
+    ], ids=["missing-model", "bad-int", "unknown-command", "no-command"])
+    def test_usage_error_exits_1(self, capsys, args, needle):
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: exactml") and needle in err
+
+
 class TestSafety:
     def test_post_all_labels_accuracy_one(self, workdir):
         out = workdir / "safety.json"
@@ -167,6 +184,18 @@ class TestRobustness:
                     "--model", workdir / "xor_tree.json", "--epsilon", "1"])
         assert code == 1
         assert "center" in capsys.readouterr().err
+
+    def test_negative_first_center_reads_as_a_value(self, workdir):
+        domain = workdir / "signed.json"
+        domain.write_text(json.dumps(domain_to_document(make_domain([(-4, 3), (-4, 3)]))))
+        outs = []
+        for center in (["--center", "-1,0"], ["--center=-1,0"]):
+            outs.append(workdir / f"rob{len(outs)}.json")
+            code = run(["robustness", "--domain", domain, "--model", workdir / "xor_tree.json",
+                        *center, "--epsilon", "1", "--out", outs[-1]])
+            assert code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())["region_size"] == 9
 
     def test_negative_samples_is_an_input_error(self, workdir, capsys):
         code = run(["robustness", "--domain", workdir / "bits2.json",
