@@ -74,6 +74,7 @@ class Circuit:
         self.bundles: list[Bundle] = []
         self._cache: dict[tuple, int] = {}
         self._neg: dict[int, int] = {}
+        self._consts: dict[int, bool] = {}  # const wire -> value; two at most
         self.domain_wire = self._build_domain_constraint()
 
     # -- gate construction -------------------------------------------------
@@ -87,17 +88,16 @@ class Circuit:
         return wire
 
     def const(self, value: bool) -> int:
-        return self._emit(("const", bool(value)))
+        value = bool(value)
+        wire = self._emit(("const", value))
+        self._consts[wire] = value
+        return wire
 
     def const_value(self, wire: int) -> Optional[bool]:
-        if wire >= self.num_input_bits:
-            gate = self.gates[wire - self.num_input_bits]
-            if gate[0] == "const":
-                return gate[1]
-        return None
+        return self._consts.get(wire)
 
     def not_(self, a: int) -> int:
-        av = self.const_value(a)
+        av = self._consts.get(a)
         if av is not None:
             return self.const(not av)
         neg = self._neg.get(a)
@@ -109,7 +109,8 @@ class Circuit:
         return wire
 
     def and_(self, a: int, b: int) -> int:
-        av, bv = self.const_value(a), self.const_value(b)
+        consts = self._consts
+        av, bv = consts.get(a), consts.get(b)
         if av is not None:
             return b if av else self.const(False)
         if bv is not None:
@@ -123,7 +124,8 @@ class Circuit:
         return self._emit(("and", a, b))
 
     def or_(self, a: int, b: int) -> int:
-        av, bv = self.const_value(a), self.const_value(b)
+        consts = self._consts
+        av, bv = consts.get(a), consts.get(b)
         if av is not None:
             return self.const(True) if av else b
         if bv is not None:
@@ -137,7 +139,8 @@ class Circuit:
         return self._emit(("or", a, b))
 
     def xor_(self, a: int, b: int) -> int:
-        av, bv = self.const_value(a), self.const_value(b)
+        consts = self._consts
+        av, bv = consts.get(a), consts.get(b)
         if av is not None:
             return self.not_(b) if av else b
         if bv is not None:

@@ -37,69 +37,75 @@ class CnfFormula:
 
 
 def tseitin(circuit: Circuit, root: int) -> CnfFormula:
-    """CNF for `root` AND the domain-range constraint, projection = input bits."""
+    """CNF for `root` AND the domain-range constraint, projection = input bits.
+
+    One ascending pass over the reachable gates numbers each gate and emits
+    its clauses: gates are in topological order, so a gate's operands are
+    numbered before it.
+    """
     n_inputs = circuit.num_input_bits
+    gates = circuit.gates
     targets = [root]
     if circuit.domain_wire != root:
         targets.append(circuit.domain_wire)
 
-    reachable = set()
+    reachable = bytearray(n_inputs + len(gates))
     stack = list(targets)
     while stack:
         w = stack.pop()
-        if w < n_inputs or w in reachable:
+        if w < n_inputs or reachable[w]:
             continue
-        reachable.add(w)
-        gate = circuit.gates[w - n_inputs]
+        reachable[w] = 1
+        gate = gates[w - n_inputs]
         if gate[0] != "const":
             stack.extend(gate[1:])
 
-    var_of = {}
-    for bit in range(n_inputs):
-        var_of[bit] = bit + 1
-    next_var = n_inputs + 1
-    for w in sorted(reachable):
-        var_of[w] = next_var
-        next_var += 1
-
+    var_of = list(range(1, n_inputs + 1)) + [0] * len(gates)
     clauses: list[tuple[int, ...]] = []
-    for w in sorted(reachable):
-        v = var_of[w]
-        gate = circuit.gates[w - n_inputs]
+    add = clauses.append
+    units = set()
+    v = n_inputs
+    for w in range(n_inputs, n_inputs + len(gates)):
+        if not reachable[w]:
+            continue
+        v += 1
+        var_of[w] = v
+        gate = gates[w - n_inputs]
         op = gate[0]
         if op == "const":
-            clauses.append((v,) if gate[1] else (-v,))
+            unit = v if gate[1] else -v
+            add((unit,))
+            units.add(unit)
         elif op == "not":
             a = var_of[gate[1]]
-            clauses.append((v, a))
-            clauses.append((-v, -a))
+            add((v, a))
+            add((-v, -a))
         elif op == "and":
             a, b = var_of[gate[1]], var_of[gate[2]]
-            clauses.append((-v, a))
-            clauses.append((-v, b))
-            clauses.append((v, -a, -b))
+            add((-v, a))
+            add((-v, b))
+            add((v, -a, -b))
         elif op == "or":
             a, b = var_of[gate[1]], var_of[gate[2]]
-            clauses.append((v, -a))
-            clauses.append((v, -b))
-            clauses.append((-v, a, b))
+            add((v, -a))
+            add((v, -b))
+            add((-v, a, b))
         else:  # xor
             a, b = var_of[gate[1]], var_of[gate[2]]
-            clauses.append((-v, a, b))
-            clauses.append((-v, -a, -b))
-            clauses.append((v, a, -b))
-            clauses.append((v, -a, b))
+            add((-v, a, b))
+            add((-v, -a, -b))
+            add((v, a, -b))
+            add((v, -a, b))
 
-    units = {clause[0] for clause in clauses if len(clause) == 1}
     root_literal = var_of[root]
     for target in targets:
         lit = var_of[target]
         if lit not in units:
-            clauses.append((lit,))
+            add((lit,))
             units.add(lit)
 
     return CnfFormula(
-        num_vars=next_var - 1,
+        num_vars=v,
         clauses=tuple(clauses),
         projection=frozenset(range(1, n_inputs + 1)),
         root_literal=root_literal,
@@ -107,6 +113,10 @@ def tseitin(circuit: Circuit, root: int) -> CnfFormula:
 
 
 DIALECTS = ("ind_comment", "pshow_comment")
+
+# "%d ... 0" for clauses of 1-4 literals, indexed by length; every Tseitin
+# clause fits, and longer ones (parsed foreign CNF) are joined literal by literal
+_CLAUSE_TEMPLATES = (None,) + tuple(" ".join(["%d"] * n) + " 0" for n in range(1, 5))
 
 
 def emit_dimacs(cnf: CnfFormula, dialect: str = "ind_comment") -> str:
@@ -124,8 +134,11 @@ def emit_dimacs(cnf: CnfFormula, dialect: str = "ind_comment") -> str:
     else:
         chunk = " ".join(str(v) for v in proj)
         lines.append(f"c p show {chunk} 0" if proj else "c p show 0")
+    templates = _CLAUSE_TEMPLATES
+    add = lines.append
     for clause in cnf.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+        n = len(clause)
+        add(templates[n] % clause if n <= 4 else " ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 

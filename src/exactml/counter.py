@@ -201,29 +201,51 @@ class _Engine:
     def aux_satisfiable(self) -> bool:
         """Is the residual formula satisfiable? Never triggered by this
         package's own Tseitin encodings (functional extension), but needed
-        for arbitrary parsed DIMACS."""
-        if self.num_unsat == 0:
-            return True
-        branch_var = 0
+        for arbitrary parsed DIMACS. The state is restored on return."""
+        stack = []  # frames [var, phases tried, marks]
+        while True:
+            # a node: decide it here, or open a frame and branch below
+            sat = None
+            if self.num_unsat == 0:
+                sat = True
+            else:
+                var = self._first_free_in_unsatisfied()
+                if var == 0:
+                    sat = False  # unsatisfied clause with every literal false
+                else:
+                    self.spend_decision()
+                    stack.append([var, 0, None])
+            # hand `sat` up the frames until one has a branch left to enter
+            while stack:
+                frame = stack[-1]
+                if sat is not None:
+                    self.undo(frame[2])
+                    if sat:
+                        stack.pop()
+                        continue
+                    sat = None
+                if frame[1] == 2:
+                    stack.pop()
+                    sat = False
+                    continue
+                lit = frame[0] if frame[1] == 0 else -frame[0]
+                frame[1] += 1
+                frame[2] = self.mark()
+                if self.assume(lit):
+                    break
+                self.undo(frame[2])
+            else:
+                return sat
+
+    def _first_free_in_unsatisfied(self) -> int:
+        """The first free variable of the first unsatisfied clause that has one."""
         for ci, clause in enumerate(self.clauses):
             if self.satisfied[ci]:
                 continue
             for lit in clause:
                 if self.assign[abs(lit)] == 0:
-                    branch_var = abs(lit)
-                    break
-            if branch_var:
-                break
-        if branch_var == 0:
-            return False  # unsatisfied clause with every literal false
-        self.spend_decision()
-        for value in (branch_var, -branch_var):
-            marks = self.mark()
-            if self.assume(value) and self.aux_satisfiable():
-                self.undo(marks)
-                return True
-            self.undo(marks)
-        return False
+                    return abs(lit)
+        return 0
 
 
 def _branch_order(cnf: CnfFormula) -> list[int]:
@@ -249,25 +271,43 @@ def _count_engine(cnf: CnfFormula, stats: dict, budget: int) -> int:
     if not engine.setup():
         return 0
     order = _branch_order(cnf)
-
-    def search(pos: int) -> int:
+    n = len(order)
+    assign = engine.assign
+    stack = []  # frames [var, pos, phases tried, subtotal, marks]
+    pos = 0
+    while True:
+        # a node: count it here, or open a frame and branch below
+        value = None
         if engine.num_unsat == 0:
-            return 1 << engine.proj_unassigned
-        while pos < len(order) and engine.assign[order[pos]] != 0:
-            pos += 1
-        if pos == len(order):
-            return 1 if engine.aux_satisfiable() else 0
-        var = order[pos]
-        engine.spend_decision()
-        total = 0
-        for lit in (var, -var):
-            marks = engine.mark()
+            value = 1 << engine.proj_unassigned
+        else:
+            while pos < n and assign[order[pos]] != 0:
+                pos += 1
+            if pos == n:
+                value = 1 if engine.aux_satisfiable() else 0
+            else:
+                engine.spend_decision()
+                stack.append([order[pos], pos, 0, 0, None])
+        # add `value` into the frames until one has a branch left to enter
+        while stack:
+            frame = stack[-1]
+            if value is not None:
+                frame[3] += value
+                engine.undo(frame[4])
+                value = None
+            if frame[2] == 2:
+                stack.pop()
+                value = frame[3]
+                continue
+            lit = frame[0] if frame[2] == 0 else -frame[0]
+            frame[2] += 1
+            frame[4] = engine.mark()
             if engine.assume(lit):
-                total += search(pos + 1)
-            engine.undo(marks)
-        return total
-
-    return search(0)
+                pos = frame[1] + 1
+                break
+            engine.undo(frame[4])
+        else:
+            return value
 
 
 def count_projected(cnf, budget: int = DEFAULT_BUDGET) -> CountResult:
@@ -359,19 +399,36 @@ def sat_search(num_vars: int, clauses) -> Optional[list[int]]:
                 n_free[ci] += 1
         del trail[mark:]
 
-    def solve() -> bool:
-        var = 0
-        for v in range(1, num_vars + 1):
+    def first_free(start: int) -> int:
+        for v in range(start, num_vars + 1):
             if assign[v] == 0:
-                var = v
-                break
+                return v
+        return 0
+
+    def solve() -> bool:
+        # every variable below a frame's var was assigned before the frame
+        # opened, so the next free variable is searched for above it
+        var = first_free(1)
         if var == 0:
             return True
-        for lit in (var, -var):
-            mark = len(trail)
-            if set_lit(lit) and solve():
-                return True
-            undo(mark)
+        stack = [[var, 0, 0]]  # frames [var, phases tried, trail mark]
+        while stack:
+            frame = stack[-1]
+            var, tried = frame[0], frame[1]
+            if tried == 2:
+                stack.pop()
+                if stack:
+                    undo(stack[-1][2])
+                continue
+            frame[1] = tried + 1
+            frame[2] = len(trail)
+            if set_lit(var if tried == 0 else -var):
+                nxt = first_free(var + 1)
+                if nxt == 0:
+                    return True
+                stack.append([nxt, 0, 0])
+            else:
+                undo(frame[2])
         return False
 
     for ci, clause in enumerate(clauses):

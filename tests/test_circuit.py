@@ -325,3 +325,31 @@ class TestOneHot:
                 outs = c.simulate_outputs(pt)
                 assert sum(outs.values()) == 1
                 assert outs[f"model_{eval_model(model, pt, dom)}"]
+
+
+class TestConstTable:
+    """`const_value` reads a wire->bool table; it must say what the gate list says."""
+
+    @staticmethod
+    def assert_table_matches_gates(c):
+        base = c.num_input_bits
+        for w in range(base + len(c.gates)):
+            gate = c.gates[w - base] if w >= base else None
+            want = gate[1] if gate is not None and gate[0] == "const" else None
+            assert c.const_value(w) is want, w
+
+    def test_trees_nets_predicates_and_partial_evaluation(self):
+        rng = random.Random(31)
+        dom = make_domain([(0, 7), (-2, 5), (0, 3)])
+        circuits = []
+        for _ in range(3):
+            tree = compile_tree(random_tree(rng, dom), dom)
+            net = compile_network(random_network(rng, dom, hidden=(2,)), dom)
+            for c in (tree, net):
+                compile_predicate(c, random_predicate(rng, dom), "truth_1")
+                circuits += [c, partial_evaluate(c, {0: 3}), partial_evaluate(c, {1: -2, 2: 0})]
+        pred = Circuit(dom)
+        compile_predicate(pred, parse_predicate("f0 <= 3 && f1 >= f2", dom), "p")
+        circuits += [pred, Circuit(make_domain([(3, 3)]))]
+        for c in circuits:
+            self.assert_table_matches_gates(c)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -399,3 +400,47 @@ class TestDeterminism:
                  "--formula", "fn:1", "--out", out])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestGoldenDimacs:
+    """The exact bytes `emit` writes, pinned by sha256 so an encoder rewrite
+    cannot change a variable number, a clause or its order unnoticed."""
+
+    PRE = "f0 >= 2 && f1 <= 5"
+    GOLDEN = {
+        "net-model:1-ind_comment":
+            "ac666427310d629e32e59ef7070f5520b9b6b2d980d0e9dc918ccc52a03428d8",
+        "net-viol-ind_comment":
+            "352be3dcf6c6afb613a4f921601759963787d985dad0e34b329dff210b6f2b72",
+        "net-viol-pshow_comment":
+            "bc977a640207b64ee74cd4897f93fc236c8af40ea5d87cf9d3e97c031bc23ddb",
+        "graph3-fn:1-ind_comment":
+            "39f4ea39b95aa59df121a76f53163b627f3c8a182ef5b9aa6593d028b34bd705",
+    }
+
+    @staticmethod
+    def _net_args(tmp_path):
+        domain = make_domain([(0, 7)] * 3)
+        net = random_network(random.Random(3), domain, hidden=(2,), weight_range=3)
+        (tmp_path / "domain.json").write_text(json.dumps(domain_to_document(domain)))
+        (tmp_path / "net.json").write_text(json.dumps(network_to_document(net)))
+        return ["--domain", tmp_path / "domain.json", "--model", tmp_path / "net.json",
+                "--pre", TestGoldenDimacs.PRE, "--post", "1"]
+
+    def _emit_digest(self, tmp_path, args, formula, dialect):
+        out = tmp_path / "f.cnf"
+        assert run(["emit", *args, "--formula", formula, "--dialect", dialect, "--out", out]) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("formula,dialect", [
+        ("model:1", "ind_comment"), ("viol", "ind_comment"), ("viol", "pshow_comment"),
+    ])
+    def test_quantized_net(self, tmp_path, formula, dialect):
+        digest = self._emit_digest(tmp_path, self._net_args(tmp_path), formula, dialect)
+        assert digest == self.GOLDEN[f"net-{formula}-{dialect}"]
+
+    def test_graph3_tree(self, workdir):
+        args = ["--domain", "graph3", "--model", workdir / "reflexive_tree.json",
+                "--property", "transitive", "--nodes", "3"]
+        digest = self._emit_digest(workdir, args, "fn:1", "ind_comment")
+        assert digest == self.GOLDEN["graph3-fn:1-ind_comment"]

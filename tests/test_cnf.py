@@ -171,3 +171,26 @@ class TestDimacs:
         assert "c ind 0" in text.splitlines()
         g = tseitin(c, c.const(False))
         assert count_projected(g).count == 0
+
+
+class TestDimacsTemplates:
+    FOREIGN = (
+        "p cnf 9 7\n"
+        "c ind 1 2 3 0\n"
+        "-1 0\n"
+        "2 -3 0\n"
+        "-4 5 -6 0\n"
+        "7 -8 9 -1 0\n"
+        "-2 3 -4 5 -6 0\n"
+        "1 -2 3 -4 5 -6 0\n"
+        "-9 8 -7 6 -5 4 -3 0\n"
+    )
+
+    def test_foreign_clauses_of_every_length_round_trip(self):
+        # 1-4 literals take the per-length templates, 5-7 the join fallback
+        f = parse_dimacs(self.FOREIGN)
+        assert [len(c) for c in f.clauses] == list(range(1, 8))
+        assert emit_dimacs(f) == self.FOREIGN
+        pshow = emit_dimacs(f, "pshow_comment")
+        assert pshow == self.FOREIGN.replace("c ind 1 2 3 0", "c p show 1 2 3 0")
+        assert emit_dimacs(parse_dimacs(pshow), "pshow_comment") == pshow

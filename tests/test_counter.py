@@ -188,3 +188,26 @@ class TestParseExternal:
         assert result.count == 64 * 256
         assert result.stats["multiplicative_form"] == "64*2**8"
         assert result.method == "external"
+
+
+class TestDeepSearch:
+    """A formula that needs thousands of nested decisions: the searches keep
+    explicit stacks, so depth is bounded by memory, not the interpreter."""
+
+    PAIRS = tuple((2 * k - 1, 2 * k) for k in range(1, 1501))  # x_{2k-1} or x_{2k}
+
+    def test_sat_search_returns_an_assignment(self):
+        model = sat_search(3000, self.PAIRS)
+        assert model is not None and len(model) == 3000
+        assert all(model[a - 1] > 0 or model[b - 1] > 0 for a, b in self.PAIRS)
+
+    def test_count_projected_exhausts_its_budget(self):
+        f = CnfFormula(3000, self.PAIRS, frozenset(range(1, 3001)))
+        result = count_projected(f, budget=10_000)
+        assert result.exhausted and result.count is None
+        assert result.stats["decisions"] == 10_001
+
+    def test_satisfiability_fallback_below_an_empty_projection(self):
+        result = count_projected(CnfFormula(3000, self.PAIRS, frozenset()))
+        assert result.count == 1
+        assert result.stats["decisions"] == 1500
