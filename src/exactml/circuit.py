@@ -372,24 +372,6 @@ class Circuit:
             v -= 1 << len(bundle.bits)
         return v
 
-    def stats(self) -> dict:
-        return {
-            "input_bits": self.num_input_bits,
-            "gates": len(self.gates),
-            "outputs": len(self.outputs),
-        }
-
-    def dump(self) -> str:
-        """Debug-only textual gate listing; not a stability contract."""
-        lines = [f"inputs {self.num_input_bits}"]
-        base = self.num_input_bits
-        for gi, gate in enumerate(self.gates):
-            args = " ".join(str(a) for a in gate[1:])
-            lines.append(f"{base + gi} {gate[0]} {args}")
-        for name in sorted(self.outputs):
-            lines.append(f"output {name} {self.outputs[name]}")
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # Model compilation

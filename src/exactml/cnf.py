@@ -11,7 +11,6 @@ propagation alone, so projected counts equal input counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .circuit import Circuit
 
@@ -25,7 +24,6 @@ class CnfFormula:
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
     projection: frozenset[int]
-    root_literal: Optional[int] = None
 
     def check(self) -> None:
         for clause in self.clauses:
@@ -97,7 +95,6 @@ def tseitin(circuit: Circuit, root: int) -> CnfFormula:
             add((v, a, -b))
             add((v, -a, b))
 
-    root_literal = var_of[root]
     for target in targets:
         lit = var_of[target]
         if lit not in units:
@@ -108,7 +105,6 @@ def tseitin(circuit: Circuit, root: int) -> CnfFormula:
         num_vars=v,
         clauses=tuple(clauses),
         projection=frozenset(range(1, n_inputs + 1)),
-        root_literal=root_literal,
     )
 
 

@@ -10,8 +10,9 @@ each branch contributes exactly 0 or 1; a generic satisfiability fallback
 keeps foreign DIMACS inputs correct as well. Execution is deterministic:
 no randomness, stable branch order, reproducible stats.
 
-`count_enumerate` is the independent cross-check: a plain blocking-clause
-loop over a separate DPLL satisfiability search.
+`count_enumerate` is the independent cross-check: one all-solutions DPLL
+with its own counter-based propagation that visits each projection model
+once, with no blocking clauses.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .cnf import CnfFormula
 
@@ -335,22 +336,29 @@ def count_projected(cnf, budget: int = DEFAULT_BUDGET) -> CountResult:
 # Enumeration baseline
 # ---------------------------------------------------------------------------
 
-def sat_search(num_vars: int, clauses) -> Optional[list[int]]:
-    """Plain DPLL satisfiability search, counter-based propagation.
+def count_enumerate(cnf: CnfFormula) -> CountResult:
+    """Count by enumerating the projection's models in one all-solutions search.
 
-    Returns a total assignment as a literal list, or None. Intentionally
-    independent of the counting engine.
+    A DPLL with counter-based propagation, intentionally independent of the
+    counting engine. It branches on the projection variables in ascending
+    order, then on the others; at a total assignment it counts one model and
+    backtracks to the deepest projection decision, so each projection
+    assignment is counted once and no clause is ever added.
     """
-    clauses = _normalize(clauses)
+    cnf.check()
+    if len(cnf.projection) > ENUMERATE_CAP:
+        raise ValueError(
+            f"projection cap exceeded: {len(cnf.projection)} > {ENUMERATE_CAP}"
+        )
+    start = time.perf_counter()
+    clauses = _normalize(cnf.clauses)
     n_free = [len(c) for c in clauses]
     sat_count = [0] * len(clauses)
     occur: dict[int, list[int]] = {}
     for ci, clause in enumerate(clauses):
-        if not clause:
-            return None
         for lit in clause:
             occur.setdefault(lit, []).append(ci)
-    assign = [0] * (num_vars + 1)
+    assign = [0] * (cnf.num_vars + 1)
     trail: list[int] = []
 
     def set_lit(lit: int) -> bool:
@@ -399,71 +407,45 @@ def sat_search(num_vars: int, clauses) -> Optional[list[int]]:
                 n_free[ci] += 1
         del trail[mark:]
 
-    def first_free(start: int) -> int:
-        for v in range(start, num_vars + 1):
-            if assign[v] == 0:
-                return v
-        return 0
-
-    def solve() -> bool:
-        # every variable below a frame's var was assigned before the frame
-        # opened, so the next free variable is searched for above it
-        var = first_free(1)
-        if var == 0:
-            return True
-        stack = [[var, 0, 0]]  # frames [var, phases tried, trail mark]
-        while stack:
-            frame = stack[-1]
-            var, tried = frame[0], frame[1]
-            if tried == 2:
-                stack.pop()
-                if stack:
-                    undo(stack[-1][2])
-                continue
-            frame[1] = tried + 1
-            frame[2] = len(trail)
-            if set_lit(var if tried == 0 else -var):
-                nxt = first_free(var + 1)
-                if nxt == 0:
-                    return True
-                stack.append([nxt, 0, 0])
-            else:
-                undo(frame[2])
-        return False
-
-    for ci, clause in enumerate(clauses):
-        if len(clause) == 1 and not set_lit(clause[0]):
-            return None
-    if not solve():
-        return None
-    return [v if assign[v] >= 0 else -v for v in range(1, num_vars + 1)]
-
-
-def count_enumerate(
-    cnf: CnfFormula,
-    solve: Callable[[int, list], Optional[list[int]]] = sat_search,
-    cap: int = ENUMERATE_CAP,
-) -> CountResult:
-    """Count by repeated solving with blocking clauses over the projection."""
-    cnf.check()
-    if len(cnf.projection) > cap:
-        raise ValueError(
-            f"projection cap exceeded: {len(cnf.projection)} > {cap}"
-        )
-    start = time.perf_counter()
     projection = sorted(cnf.projection)
-    clauses = list(cnf.clauses)
+    order = projection + [
+        v for v in range(1, cnf.num_vars + 1) if v not in cnf.projection
+    ]
+    n_proj, n = len(projection), len(order)
+
+    def next_free(pos: int) -> int:
+        while pos < n and assign[order[pos]] != 0:
+            pos += 1
+        return pos
+
     count = 0
-    while True:
-        model = solve(cnf.num_vars, clauses)
-        if model is None:
-            break
-        count += 1
-        block = tuple(-model[v - 1] for v in projection)
-        if not block:
-            break  # empty projection: a satisfiable formula counts once
-        clauses.append(block)
-    stats = {"iterations": count, "wall_time": time.perf_counter() - start}
+    if all(set_lit(c[0]) for c in clauses if len(c) == 1):
+        stack = []  # frames [position in order, phases tried, trail mark]
+        pos = next_free(0)
+        while True:
+            if pos < n:
+                stack.append([pos, 0, len(trail)])
+            else:
+                # a model: its projection assignment is counted, so drop
+                # the frames below the projection instead of trying them
+                count += 1
+                while stack and stack[-1][0] >= n_proj:
+                    stack.pop()
+            # enter the next untried branch of the deepest open frame
+            while stack:
+                frame = stack[-1]
+                undo(frame[2])
+                if frame[1] == 2:
+                    stack.pop()
+                    continue
+                var = order[frame[0]]
+                frame[1] += 1
+                if set_lit(var if frame[1] == 1 else -var):
+                    pos = next_free(frame[0] + 1)
+                    break
+            else:
+                break
+    stats = {"wall_time": time.perf_counter() - start}
     return CountResult(count, "enumeration", stats)
 
 

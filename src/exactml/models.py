@@ -76,11 +76,6 @@ class InputDomain:
                 return i
         raise KeyError(name)
 
-    def contains(self, point: Sequence[int]) -> bool:
-        if len(point) != len(self.features):
-            return False
-        return all(f.lo <= v <= f.hi for f, v in zip(self.features, point))
-
     def check_point(self, point: Sequence[int]) -> None:
         if len(point) != len(self.features):
             raise ModelError(

@@ -303,16 +303,6 @@ class TestPartialEvaluate:
         assert len(pe.gates) < len(c.gates)
 
 
-class TestDump:
-    def test_gate_listing_smoke(self, bits2_domain, xor_tree):
-        c = compile_tree(xor_tree, bits2_domain)
-        text = c.dump()
-        lines = text.splitlines()
-        assert lines[0] == "inputs 2"
-        assert any(line.startswith("output model_1 ") for line in lines)
-        assert len([l for l in lines if not l.startswith(("inputs", "output"))]) == len(c.gates)
-
-
 class TestOneHot:
     def test_one_hot_exhaustive_on_models(self):
         rng = random.Random(4242)

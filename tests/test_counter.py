@@ -4,12 +4,7 @@ import pytest
 
 from exactml.circuit import Circuit, compile_predicate
 from exactml.cnf import CnfFormula, parse_dimacs, tseitin
-from exactml.counter import (
-    count_enumerate,
-    count_projected,
-    parse_external_count,
-    sat_search,
-)
+from exactml.counter import count_enumerate, count_projected, parse_external_count
 from exactml.oracle import brute_count_root
 from exactml.predicates import builtin_graph_property, graph_domain
 
@@ -162,12 +157,42 @@ class TestCountEnumerate:
     def test_projection_cap(self):
         f = CnfFormula(30, ((1,),), frozenset(range(1, 31)))
         with pytest.raises(ValueError, match="cap"):
-            count_enumerate(f, cap=24)
+            count_enumerate(f)
 
-    def test_sat_search_basics(self):
-        assert sat_search(2, [(1,), (-1, 2)]) == [1, 2]
-        assert sat_search(1, [(1,), (-1,)]) is None
-        assert sat_search(2, [(1, 2), (-1, -2), (-1, 2)]) is not None
+    def test_counts_under_full_projection(self):
+        assert count_enumerate(CnfFormula(2, ((1,), (-1, 2)), frozenset({1, 2}))).count == 1
+        assert count_enumerate(CnfFormula(1, ((1,), (-1,)), frozenset({1}))).count == 0
+        f = CnfFormula(2, ((1, 2), (-1, -2), (-1, 2)), frozenset({1, 2}))
+        assert count_enumerate(f).count == 1
+
+    def test_agrees_with_projected_on_foreign_formulas(self):
+        # random CNFs, unlike Tseitin formulas, leave variables outside the
+        # projection free after propagation, so the search has to go on below
+        # the projection and back up after each model
+        rng = random.Random(64)
+        nonzero = 0
+        for _ in range(300):
+            num_vars = rng.randint(1, 12)
+            clauses = tuple(
+                tuple(
+                    rng.choice((v, -v))
+                    for v in (rng.randint(1, num_vars) for _ in range(rng.randint(1, 4)))
+                )
+                for _ in range(rng.randint(0, 25))
+            )
+            projection = frozenset(
+                v for v in range(1, num_vars + 1) if rng.random() < 0.5
+            )
+            f = CnfFormula(num_vars, clauses, projection)
+            want = count_projected(f).count
+            assert count_enumerate(f).count == want, f
+            nonzero += want > 0
+        assert nonzero > 100
+
+    def test_many_models_with_free_variables_below_the_projection(self):
+        # 768 models; the earlier blocking-clause enumeration took 113 s on it
+        f = CnfFormula(14, ((1, 13), (14, 12), (10,)), frozenset([*range(1, 11), 13]))
+        assert count_enumerate(f).count == 768
 
 
 class TestParseExternal:
@@ -196,10 +221,10 @@ class TestDeepSearch:
 
     PAIRS = tuple((2 * k - 1, 2 * k) for k in range(1, 1501))  # x_{2k-1} or x_{2k}
 
-    def test_sat_search_returns_an_assignment(self):
-        model = sat_search(3000, self.PAIRS)
-        assert model is not None and len(model) == 3000
-        assert all(model[a - 1] > 0 or model[b - 1] > 0 for a, b in self.PAIRS)
+    def test_count_enumerate_on_thousands_of_variables(self):
+        # 9 of the 16 assignments to x1..x4 satisfy the first two pairs
+        assert count_enumerate(CnfFormula(3000, self.PAIRS, frozenset({1, 2, 3, 4}))).count == 9
+        assert count_enumerate(CnfFormula(3000, self.PAIRS, frozenset())).count == 1
 
     def test_count_projected_exhausts_its_budget(self):
         f = CnfFormula(3000, self.PAIRS, frozenset(range(1, 3001)))
