@@ -98,9 +98,9 @@ class _WireCompiler:
     returns stays valid while its wire is in `keep`. Without `keep` every
     compiled wire stays.
 
-    A representation supplies `_input`, `_const`, `negate`, `apply` and
-    `models`, counts its units in `size` against `budget`, and may act
-    between gates in `_gate_done`.
+    A representation supplies `_input`, `_const`, `apply` and `models`,
+    counts its units in `size` against `budget`, and may act between gates
+    in `_gate_done`. A `not` gate is compiled as `apply(XOR, a, true)`.
     """
 
     method = ""  # CountResult.method of its counts
@@ -171,7 +171,7 @@ class _WireCompiler:
                 nodes[w] = self._const(gate[1])
                 continue
             if op == "not":
-                nodes[w] = self.negate(nodes[gate[1]])
+                nodes[w] = self.apply(XOR, nodes[gate[1]], self._const(True))
             else:
                 nodes[w] = self.apply(_OPS[op], nodes[gate[1]], nodes[gate[2]])
             for x in gate[1:]:
@@ -223,10 +223,6 @@ class TableManager(_WireCompiler):
 
     def _const(self, value: bool) -> int:
         return self.full if value else 0
-
-    def negate(self, f: int) -> int:
-        self._spend()
-        return self.full ^ f
 
     def apply(self, op: int, f: int, g: int) -> int:
         self._spend()
@@ -322,15 +318,13 @@ class BddManager(_WireCompiler):
                 if f <= 1 or g <= 1 or f == g:
                     if op == AND:
                         results.append(0 if f == 0 or g == 0 else g if f == 1 else f)
-                    elif op == OR:
+                        continue
+                    if op == OR:
                         results.append(1 if f == 1 or g == 1 else g if f == 0 else f)
-                    elif f == g:
-                        results.append(0)
-                    elif f <= 1:
-                        results.append(g if f == 0 else self.negate(g))
-                    else:
-                        results.append(f if g == 0 else self.negate(f))
-                    continue
+                        continue
+                    if f == g or f == 0 or g == 0:  # XOR with true recurses
+                        results.append(0 if f == g else g if f == 0 else f)
+                        continue
                 if f > g:
                     f, g = g, f
                 key = (f << _SHIFT) | g
@@ -366,16 +360,6 @@ class BddManager(_WireCompiler):
                     stack.append(child)
         # children sit on deeper levels than their parents
         return sorted(reach, key=self.level.__getitem__, reverse=True)
-
-    def negate(self, f: int) -> int:
-        """The node of `not f`."""
-        if f <= 1:
-            return 1 - f
-        level, low, high = self.level, self.low, self.high
-        neg = {0: 1, 1: 0}
-        for u in self._bottom_up(f):
-            neg[u] = self._mk(level[u], neg[low[u]], neg[high[u]])
-        return neg[f]
 
     def count(self, node: int) -> int:
         """Assignments of all `num_vars` variables that reach the true terminal."""

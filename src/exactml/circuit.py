@@ -4,7 +4,9 @@ Inputs are the offset-binary bits of each feature (value - lo, low bit
 first). Gates are created through hash-consing builder methods that fold
 constants, so compiled circuits stay small without a separate optimization
 pass. Bit patterns above a feature's range are ruled out by a domain
-constraint wire that the CNF stage conjoins onto every counting root.
+constraint wire that every count conjoins onto its root: the CNF stage
+(`cnf.tseitin`) as a unit clause, the truth-table and BDD managers
+(`bdd.count_roots`) with an AND.
 
 Arithmetic (for networks and feature-to-feature comparisons) is two's
 complement with widths chosen from exact interval bounds, so overflow is
@@ -34,7 +36,7 @@ METRIC_KINDS = ("tp", "fp", "tn", "fn")
 
 
 class WidthOverflowError(ValueError):
-    """Interval analysis needs more bits than the configured maximum."""
+    """Interval analysis needs more bits than `MAX_BUNDLE_WIDTH`."""
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,8 @@ class Circuit:
     topological order. Treat instances as immutable once compiled.
     """
 
-    def __init__(self, domain: InputDomain, max_width: int = MAX_BUNDLE_WIDTH):
+    def __init__(self, domain: InputDomain):
         self.domain = domain
-        self.max_width = max_width
         self.offsets = []
         total = 0
         for f in domain.features:
@@ -251,9 +252,9 @@ class Circuit:
     # -- two's-complement arithmetic ------------------------------------------
 
     def _register(self, bits: Sequence[int], lo: int, hi: int) -> Bundle:
-        if len(bits) > self.max_width:
+        if len(bits) > MAX_BUNDLE_WIDTH:
             raise WidthOverflowError(
-                f"width overflow: bundle needs {len(bits)} bits, maximum is {self.max_width}"
+                f"width overflow: bundle needs {len(bits)} bits, maximum is {MAX_BUNDLE_WIDTH}"
             )
         bundle = Bundle(tuple(bits), lo, hi)
         self.bundles.append(bundle)
@@ -407,11 +408,9 @@ def compile_tree(tree: DecisionTree, domain: InputDomain) -> Circuit:
     return c
 
 
-def compile_network(
-    net: QuantizedNetwork, domain: InputDomain, max_width: int = MAX_BUNDLE_WIDTH
-) -> Circuit:
+def compile_network(net: QuantizedNetwork, domain: InputDomain) -> Circuit:
     """Bit-blast the affine layers and the argmax decision (ties -> lowest label)."""
-    c = Circuit(domain, max_width=max_width)
+    c = Circuit(domain)
     # first layer reads offset-binary encodings; feature lo offsets fold into biases
     enc_bundles = []
     offsets = []
@@ -446,10 +445,10 @@ def compile_network(
     return c
 
 
-def compile_model(model: Model, domain: InputDomain, max_width: int = MAX_BUNDLE_WIDTH) -> Circuit:
+def compile_model(model: Model, domain: InputDomain) -> Circuit:
     if isinstance(model, DecisionTree):
         return compile_tree(model, domain)
-    return compile_network(model, domain, max_width=max_width)
+    return compile_network(model, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +564,7 @@ def partial_evaluate(circuit: Circuit, fixed: Mapping[int, int]) -> Circuit:
         for i, f in enumerate(circuit.domain.features)
     )
     new_domain = InputDomain(new_features)
-    out = Circuit(new_domain, max_width=circuit.max_width)
+    out = Circuit(new_domain)
 
     reachable = set()
     stack = list(circuit.outputs.values())

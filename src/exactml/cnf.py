@@ -32,6 +32,9 @@ class CnfFormula:
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise DimacsError(f"literal {lit} out of range")
+        for v in self.projection:
+            if not 1 <= v <= self.num_vars:
+                raise DimacsError(f"projection variable {v} out of range")
 
 
 def tseitin(circuit: Circuit, root: int) -> CnfFormula:
@@ -205,11 +208,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise DimacsError(
             f"header declares {declared_clauses} clauses, found {len(clauses)}"
         )
-    if saw_projection:
-        for v in projection:
-            if not (1 <= v <= num_vars):
-                raise DimacsError(f"projection variable {v} out of range")
-        proj = frozenset(projection)
-    else:
-        proj = frozenset(range(1, num_vars + 1))
-    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses), projection=proj)
+    proj = frozenset(projection) if saw_projection else frozenset(range(1, num_vars + 1))
+    cnf = CnfFormula(num_vars=num_vars, clauses=tuple(clauses), projection=proj)
+    cnf.check()
+    return cnf

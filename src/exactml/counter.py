@@ -2,13 +2,15 @@
 
 `count_projected` is the package's one counting entry point. A
 `bdd.CircuitRoot` counts itself through its manager (truth tables or a
-BDD); a `CnfFormula` is counted by a DPLL that only ever branches on
+BDD); a `CnfFormula` is counted by one DPLL search that branches on
 projection variables, while unit propagation (two watched literals, over
-all variables) handles the auxiliaries. For the Tseitin formulas produced by this package
-a total projection assignment determines every auxiliary by propagation, so
-each branch contributes exactly 0 or 1; a generic satisfiability fallback
-keeps foreign DIMACS inputs correct as well. Execution is deterministic:
-no randomness, stable branch order, reproducible stats.
+all variables) handles the auxiliaries. For the Tseitin formulas produced
+by this package a total projection assignment determines every auxiliary
+by propagation, so each branch contributes exactly 0 or 1. Where a clause
+stays open below a total projection assignment (foreign DIMACS), the same
+search branches on its free variables and stops at the first model, so
+such inputs count correctly as well. Execution is deterministic: no
+randomness, stable branch order, reproducible stats.
 
 `count_enumerate` is the independent cross-check: one all-solutions DPLL
 with its own counter-based propagation that visits each projection model
@@ -61,7 +63,7 @@ def _normalize(clauses):
 
 
 class _Engine:
-    """DPLL state shared by the projected counter and its aux-SAT fallback."""
+    """DPLL state of the projected counter, also driven by the propagation probe."""
 
     __slots__ = (
         "num_vars", "clauses", "assign", "watches", "occur", "satisfied",
@@ -199,46 +201,7 @@ class _Engine:
         if self.stats["decisions"] > self.budget:
             raise _BudgetExceeded()
 
-    def aux_satisfiable(self) -> bool:
-        """Is the residual formula satisfiable? Never triggered by this
-        package's own Tseitin encodings (functional extension), but needed
-        for arbitrary parsed DIMACS. The state is restored on return."""
-        stack = []  # frames [var, phases tried, marks]
-        while True:
-            # a node: decide it here, or open a frame and branch below
-            sat = None
-            if self.num_unsat == 0:
-                sat = True
-            else:
-                var = self._first_free_in_unsatisfied()
-                if var == 0:
-                    sat = False  # unsatisfied clause with every literal false
-                else:
-                    self.spend_decision()
-                    stack.append([var, 0, None])
-            # hand `sat` up the frames until one has a branch left to enter
-            while stack:
-                frame = stack[-1]
-                if sat is not None:
-                    self.undo(frame[2])
-                    if sat:
-                        stack.pop()
-                        continue
-                    sat = None
-                if frame[1] == 2:
-                    stack.pop()
-                    sat = False
-                    continue
-                lit = frame[0] if frame[1] == 0 else -frame[0]
-                frame[1] += 1
-                frame[2] = self.mark()
-                if self.assume(lit):
-                    break
-                self.undo(frame[2])
-            else:
-                return sat
-
-    def _first_free_in_unsatisfied(self) -> int:
+    def first_free_in_unsatisfied(self) -> int:
         """The first free variable of the first unsatisfied clause that has one."""
         for ci, clause in enumerate(self.clauses):
             if self.satisfied[ci]:
@@ -274,7 +237,8 @@ def _count_engine(cnf: CnfFormula, stats: dict, budget: int) -> int:
     order = _branch_order(cnf)
     n = len(order)
     assign = engine.assign
-    stack = []  # frames [var, pos, phases tried, subtotal, marks]
+    proj_mask = engine.proj_mask
+    stack = []  # frames [var, next pos, phases tried, subtotal, marks]
     pos = 0
     while True:
         # a node: count it here, or open a frame and branch below
@@ -284,19 +248,25 @@ def _count_engine(cnf: CnfFormula, stats: dict, budget: int) -> int:
         else:
             while pos < n and assign[order[pos]] != 0:
                 pos += 1
-            if pos == n:
-                value = 1 if engine.aux_satisfiable() else 0
+            if pos < n:
+                var = order[pos]
+            else:
+                # the projection is total: search below it for one model
+                var = engine.first_free_in_unsatisfied()
+            if var == 0:
+                value = 0  # an unsatisfied clause with every literal false
             else:
                 engine.spend_decision()
-                stack.append([order[pos], pos, 0, 0, None])
-        # add `value` into the frames until one has a branch left to enter
+                stack.append([var, pos + 1, 0, 0, None])
+        # add `value` into the frames until one has a branch left to enter:
+        # a frame below the projection is done at its first model
         while stack:
             frame = stack[-1]
             if value is not None:
                 frame[3] += value
                 engine.undo(frame[4])
                 value = None
-            if frame[2] == 2:
+            if frame[2] == 2 or (frame[3] and not proj_mask[frame[0]]):
                 stack.pop()
                 value = frame[3]
                 continue
@@ -304,7 +274,7 @@ def _count_engine(cnf: CnfFormula, stats: dict, budget: int) -> int:
             frame[2] += 1
             frame[4] = engine.mark()
             if engine.assume(lit):
-                pos = frame[1] + 1
+                pos = frame[1]
                 break
             engine.undo(frame[4])
         else:
@@ -489,6 +459,7 @@ def probe_functional_extension(cnf: CnfFormula, assignments) -> list[str]:
     projection, violating the functional-extension property of the Tseitin
     output. The engine is built once and reused across assignments.
     """
+    cnf.check()
     stats = {"decisions": 0, "propagations": 0}
     engine = _Engine(cnf.num_vars, _normalize(cnf.clauses), sorted(cnf.projection), stats, 0)
     base_ok = engine.setup()

@@ -6,7 +6,7 @@ import pytest
 
 import exactml.bdd
 import exactml.counter
-from exactml.bdd import BddManager, CircuitRoot, TableManager, count_roots, variable_order
+from exactml.bdd import XOR, BddManager, CircuitRoot, TableManager, count_roots, variable_order
 from exactml.circuit import Circuit, compile_predicate
 from exactml.cnf import tseitin
 from exactml.counter import count_projected
@@ -172,14 +172,14 @@ class TestManager:
         assert report.gaps and all(g.endswith("budget exhausted") for g in report.gaps)
         assert any(not m.complete() for m in report.labels)
 
-    def test_apply_and_negate_keep_the_diagram_reduced(self):
+    def test_apply_and_not_keep_the_diagram_reduced(self):
         dom = make_domain([(0, 3), (0, 3)])
         circ = Circuit(dom)
         manager = BddManager(circ)
         a, b = circ.feature_bits(0)[1], circ.feature_bits(1)[1]
         x = manager.node_of(circ.xor_(a, b))
-        assert manager.negate(manager.negate(x)) == x
-        assert manager.node_of(circ.not_(circ.xor_(a, b))) == manager.negate(x)
+        assert manager.apply(XOR, manager.apply(XOR, x, 1), 1) == x
+        assert manager.node_of(circ.not_(circ.xor_(a, b))) == manager.apply(XOR, x, 1)
         assert manager.count(x) == 8
 
 

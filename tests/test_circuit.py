@@ -141,11 +141,11 @@ class TestCompileNetwork:
     def test_width_overflow(self):
         dom = make_domain([(0, 255)] * 2)
         doc = {"input_width": 2,
-               "layers": [{"weights": [[2**40, 2**40], [1, 1]], "biases": [0, 0],
+               "layers": [{"weights": [[2**62, 2**62], [1, 1]], "biases": [0, 0],
                            "activation": "none", "post_shift": 0}]}
         net = load_network(doc, dom)
         with pytest.raises(WidthOverflowError, match="width overflow"):
-            compile_network(net, dom, max_width=32)
+            compile_network(net, dom)
 
     def test_interval_bounds_sound_under_fuzzing(self):
         rng = random.Random(9)

@@ -136,6 +136,10 @@ class TestDimacs:
         with pytest.raises(DimacsError, match="out of range"):
             parse_dimacs("p cnf 2 1\n3 0\n")
 
+    def test_projection_out_of_range(self):
+        with pytest.raises(DimacsError, match="projection variable 5 out of range"):
+            parse_dimacs("p cnf 2 1\nc ind 1 5 0\n1 0\n")
+
     def test_clause_count_mismatch(self):
         with pytest.raises(DimacsError, match="clauses"):
             parse_dimacs("p cnf 2 2\n1 0\n")

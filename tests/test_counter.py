@@ -1,14 +1,61 @@
+import hashlib
 import random
 
 import pytest
 
 from exactml.circuit import Circuit, compile_predicate
-from exactml.cnf import CnfFormula, parse_dimacs, tseitin
-from exactml.counter import count_enumerate, count_projected, parse_external_count
+from exactml.cnf import CnfFormula, DimacsError, parse_dimacs, tseitin
+from exactml.counter import (
+    DEFAULT_BUDGET,
+    count_enumerate,
+    count_projected,
+    parse_external_count,
+    probe_functional_extension,
+)
 from exactml.oracle import brute_count_root
 from exactml.predicates import builtin_graph_property, graph_domain
 
 from conftest import make_domain, random_predicate
+
+
+def foreign_formulas():
+    """300 seeded random CNFs: 1-12 variables, 0-25 clauses of 1-4 literals.
+
+    Unlike Tseitin formulas they leave variables outside the projection free
+    after propagation, so a search has to go on below the projection (and
+    the enumeration has to back up after each model).
+    """
+    rng = random.Random(64)
+    for _ in range(300):
+        num_vars = rng.randint(1, 12)
+        clauses = tuple(
+            tuple(
+                rng.choice((v, -v))
+                for v in (rng.randint(1, num_vars) for _ in range(rng.randint(1, 4)))
+            )
+            for _ in range(rng.randint(0, 25))
+        )
+        projection = frozenset(
+            v for v in range(1, num_vars + 1) if rng.random() < 0.5
+        )
+        yield CnfFormula(num_vars, clauses, projection)
+
+
+@pytest.mark.parametrize(
+    "f, bad",
+    [
+        (CnfFormula(1, ((1,),), frozenset({5})), 5),
+        (CnfFormula(2, ((1,),), frozenset({0})), 0),
+    ],
+)
+@pytest.mark.parametrize(
+    "entry",
+    [count_projected, count_enumerate, lambda f: probe_functional_extension(f, [{}])],
+    ids=["count_projected", "count_enumerate", "probe_functional_extension"],
+)
+def test_projection_out_of_range_is_rejected(entry, f, bad):
+    with pytest.raises(DimacsError, match=f"projection variable {bad} out of range"):
+        entry(f)
 
 
 class TestCountProjected:
@@ -117,6 +164,22 @@ class TestCountProjected:
         # models over (1,2): (T,T) ok via any 3; (T,F) needs -3, ok; (F,T) needs 3, ok; (F,F) unsat
         assert count_projected(f).count == 3
 
+    # counts and search stats of `foreign_formulas` at budgets that run out
+    # on the projection, below it and not at all: a change to branch order,
+    # phases, propagation or decision accounting changes this digest
+    FOREIGN_STATS_SHA256 = "3a84bbdc0369021630beed804a8de3c22210bcba9c5330d4572ac71606cd54cb"
+
+    def test_search_stats_on_foreign_formulas_are_pinned(self):
+        records = []
+        for f in foreign_formulas():
+            for budget in (3, 50, DEFAULT_BUDGET):
+                r = count_projected(f, budget)
+                records.append(
+                    (r.count, r.exhausted, r.stats["decisions"], r.stats["propagations"])
+                )
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()
+        assert digest == self.FOREIGN_STATS_SHA256
+
     def test_counts_are_independent_across_threads(self):
         # no shared mutable state between concurrent counts
         from concurrent.futures import ThreadPoolExecutor
@@ -166,24 +229,8 @@ class TestCountEnumerate:
         assert count_enumerate(f).count == 1
 
     def test_agrees_with_projected_on_foreign_formulas(self):
-        # random CNFs, unlike Tseitin formulas, leave variables outside the
-        # projection free after propagation, so the search has to go on below
-        # the projection and back up after each model
-        rng = random.Random(64)
         nonzero = 0
-        for _ in range(300):
-            num_vars = rng.randint(1, 12)
-            clauses = tuple(
-                tuple(
-                    rng.choice((v, -v))
-                    for v in (rng.randint(1, num_vars) for _ in range(rng.randint(1, 4)))
-                )
-                for _ in range(rng.randint(0, 25))
-            )
-            projection = frozenset(
-                v for v in range(1, num_vars + 1) if rng.random() < 0.5
-            )
-            f = CnfFormula(num_vars, clauses, projection)
+        for f in foreign_formulas():
             want = count_projected(f).count
             assert count_enumerate(f).count == want, f
             nonzero += want > 0
@@ -236,3 +283,11 @@ class TestDeepSearch:
         result = count_projected(CnfFormula(3000, self.PAIRS, frozenset()))
         assert result.count == 1
         assert result.stats["decisions"] == 1500
+
+    def test_budget_runs_out_below_the_projection(self):
+        # x1..x4 take 4 decisions; the budget runs out in the satisfiability
+        # search over the 1,496 pairs below them
+        f = CnfFormula(3000, self.PAIRS, frozenset({1, 2, 3, 4}))
+        result = count_projected(f, budget=100)
+        assert result.exhausted and result.count is None
+        assert result.stats["decisions"] == 101
