@@ -1,8 +1,9 @@
 """Exact counting on circuit wires: truth tables for few input bits, ROBDDs beyond.
 
-Both representations compile the cone of the requested roots bottom-up in
-wire order and count each root without building a CNF or searching. Which
-one a call uses depends only on the circuit's input-bit count:
+Both representations compile the cone of the requested roots
+(`Circuit.cone`) bottom-up in wire order and count each root without
+building a CNF or searching. Which one a call uses depends only on the
+circuit's input-bit count:
 
 - Up to `TABLE_MAX_BITS` input bits, a `TableManager` holds each wire's
   whole function as one `2**num_input_bits`-bit Python int, so a gate costs
@@ -34,6 +35,9 @@ BDD details:
   largest single gate.
 - Now and then the manager frees the nodes no remaining wire reaches.
   Freed slots are reused, so node ids are not in creation order.
+- `_reach` is the one walk over a diagram's nodes: collection keeps what
+  the compiled wires reach, and `count` sums what a root reaches in level
+  order. Besides it, only `apply` follows a node's children.
 
 `count_roots` hands each root to `counter.count_projected` as a
 `CircuitRoot`, so every count the package makes, table, BDD or DPLL, goes
@@ -124,17 +128,10 @@ class _WireCompiler:
         n_in = self.circuit.num_input_bits
         gates = self.circuit.gates
         readers: dict[int, int] = {}
-        seen = set()
-        stack = list(wires)
-        while stack:
-            w = stack.pop()
-            if w in seen:
-                continue
-            seen.add(w)
+        for w in self.circuit.cone(wires):
             if w >= n_in and gates[w - n_in][0] != "const":
                 for x in gates[w - n_in][1:]:
                     readers[x] = readers.get(x, 0) + 1
-                    stack.append(x)
         return readers
 
     def _gate_done(self) -> None:
@@ -149,19 +146,8 @@ class _WireCompiler:
         circuit = self.circuit
         n_in = circuit.num_input_bits
         gates = circuit.gates
-        cone = set()
-        stack = [wire]
-        while stack:
-            w = stack.pop()
-            if w in nodes or w in cone:
-                continue
-            cone.add(w)
-            if w >= n_in:
-                gate = gates[w - n_in]
-                if gate[0] != "const":
-                    stack.extend(gate[1:])
         readers, keep = self.readers, self.keep
-        for w in sorted(cone):
+        for w in circuit.cone([wire], done=nodes):
             if w < n_in:
                 nodes[w] = self._input(w)
                 continue
@@ -293,16 +279,9 @@ class BddManager(_WireCompiler):
 
     def _collect(self) -> None:
         """Free the nodes that no compiled wire reaches."""
-        low, high = self.low, self.high
-        live = set()
-        stack = [node for node in self.wire_node.values() if node > 1]
-        while stack:
-            u = stack.pop()
-            if u not in live:
-                live.add(u)
-                stack.extend(child for child in (low[u], high[u]) if child > 1)
+        live = self._reach(self.wire_node.values())
         self.unique = {key: node for key, node in self.unique.items() if node in live}
-        self.free = [u for u in range(2, len(low)) if u not in live]
+        self.free = [u for u in range(2, len(self.low)) if u not in live]
         self._next_collect = self.size + max(GC_MIN_NODES, len(live))
 
     def apply(self, op: int, f: int, g: int) -> int:
@@ -347,19 +326,18 @@ class BddManager(_WireCompiler):
                 results.append(node)
         return results[0]
 
-    def _bottom_up(self, node: int) -> list[int]:
-        """The inner nodes below `node`, children before parents."""
+    def _reach(self, nodes: Iterable[int]) -> set[int]:
+        """The inner nodes that `nodes` reach, themselves included."""
         low, high = self.low, self.high
-        reach = {node}
-        stack = [node]
+        reach = set()
+        stack = list(nodes)
         while stack:
             u = stack.pop()
-            for child in (low[u], high[u]):
-                if child > 1 and child not in reach:
-                    reach.add(child)
-                    stack.append(child)
-        # children sit on deeper levels than their parents
-        return sorted(reach, key=self.level.__getitem__, reverse=True)
+            if u > 1 and u not in reach:
+                reach.add(u)
+                stack.append(low[u])
+                stack.append(high[u])
+        return reach
 
     def count(self, node: int) -> int:
         """Assignments of all `num_vars` variables that reach the true terminal."""
@@ -367,7 +345,8 @@ class BddManager(_WireCompiler):
         if node <= 1:
             return node << self.num_vars
         counts = {0: 0, 1: 1}
-        for u in self._bottom_up(node):
+        # children sit on deeper levels than their parents
+        for u in sorted(self._reach([node]), key=level.__getitem__, reverse=True):
             lvl = level[u]
             lo, hi = low[u], high[u]
             counts[u] = (counts[lo] << (level[lo] - lvl - 1)) + (counts[hi] << (level[hi] - lvl - 1))

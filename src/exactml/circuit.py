@@ -8,6 +8,10 @@ constraint wire that every count conjoins onto its root: the CNF stage
 (`cnf.tseitin`) as a unit clause, the truth-table and BDD managers
 (`bdd.count_roots`) with an AND.
 
+`Circuit.cone` is the one walk over the gates: every consumer (the Tseitin
+encoder, the table and BDD managers, `partial_evaluate`) visits the wires
+that its roots read through it, in ascending wire order.
+
 Arithmetic (for networks and feature-to-feature comparisons) is two's
 complement with widths chosen from exact interval bounds, so overflow is
 impossible by construction.
@@ -16,7 +20,7 @@ impossible by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from .models import (
     DecisionTree,
@@ -334,7 +338,24 @@ class Circuit:
         bits = [self.and_(b, keep) for b in a.bits]
         return self._register(bits, 0, a.hi)
 
-    # -- evaluation -----------------------------------------------------------
+    # -- cones and evaluation -------------------------------------------------
+
+    def cone(self, wires: Iterable[int], done: Container[int] = ()) -> list[int]:
+        """`wires` and every wire they read, ascending, so operands come first.
+
+        A wire in `done` is neither entered nor returned.
+        """
+        n_in, gates = self.num_input_bits, self.gates
+        seen = set()
+        stack = list(wires)
+        while stack:
+            w = stack.pop()
+            if w in seen or w in done:
+                continue
+            seen.add(w)
+            if w >= n_in and gates[w - n_in][0] != "const":
+                stack.extend(gates[w - n_in][1:])
+        return sorted(seen)
 
     def simulate(self, point: Sequence[int]) -> list[bool]:
         """Topological evaluation; returns the value of every wire."""
@@ -566,17 +587,6 @@ def partial_evaluate(circuit: Circuit, fixed: Mapping[int, int]) -> Circuit:
     new_domain = InputDomain(new_features)
     out = Circuit(new_domain)
 
-    reachable = set()
-    stack = list(circuit.outputs.values())
-    while stack:
-        w = stack.pop()
-        if w in reachable or w < circuit.num_input_bits:
-            continue
-        reachable.add(w)
-        gate = circuit.gates[w - circuit.num_input_bits]
-        if gate[0] != "const":
-            stack.extend(gate[1:])
-
     wiremap: dict[int, int] = {}
     for i, f in enumerate(circuit.domain.features):
         base = circuit.offsets[i]
@@ -589,21 +599,18 @@ def partial_evaluate(circuit: Circuit, fixed: Mapping[int, int]) -> Circuit:
                 wiremap[base + k] = out.input_bit(i, k)
 
     base = circuit.num_input_bits
-    for gi, gate in enumerate(circuit.gates):
-        wire = base + gi
-        if wire not in reachable:
+    ops = {"and": out.and_, "or": out.or_, "xor": out.xor_}
+    for wire in circuit.cone(circuit.outputs.values()):
+        if wire < base:
             continue
+        gate = circuit.gates[wire - base]
         op = gate[0]
         if op == "const":
             wiremap[wire] = out.const(gate[1])
         elif op == "not":
             wiremap[wire] = out.not_(wiremap[gate[1]])
-        elif op == "and":
-            wiremap[wire] = out.and_(wiremap[gate[1]], wiremap[gate[2]])
-        elif op == "or":
-            wiremap[wire] = out.or_(wiremap[gate[1]], wiremap[gate[2]])
         else:
-            wiremap[wire] = out.xor_(wiremap[gate[1]], wiremap[gate[2]])
+            wiremap[wire] = ops[op](wiremap[gate[1]], wiremap[gate[2]])
 
     for name, wire in circuit.outputs.items():
         out.set_output(name, wiremap[wire])

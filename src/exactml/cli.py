@@ -162,7 +162,7 @@ def _maybe_baseline(args, doc, model, domain, **kwargs) -> None:
 def cmd_learnability(args) -> int:
     domain = _load_domain(args.domain, args.nodes)
     model = _load_model(args.model, domain)
-    truth = _truth_predicates(args, domain, models.num_labels(model))
+    truth = _truth_predicates(args, domain, model.num_labels)
     count_fn = _make_count_fn(args.backend, args.budget, args.dialect)
     report = metrics_mod.learnability(model, truth, domain, count_fn=count_fn)
     doc = metrics_mod.metrics_to_document(report)
@@ -189,7 +189,7 @@ def _safety_property(args, domain, n_labels):
 def cmd_safety(args) -> int:
     domain = _load_domain(args.domain, args.nodes)
     model = _load_model(args.model, domain)
-    prop = _safety_property(args, domain, models.num_labels(model))
+    prop = _safety_property(args, domain, model.num_labels)
     count_fn = _make_count_fn(args.backend, args.budget, args.dialect)
     report = metrics_mod.safety(model, prop, domain, count_fn=count_fn)
     doc = metrics_mod.safety_to_document(report)
@@ -230,23 +230,24 @@ def _build_formula(args, domain, model):
     if not match:
         raise CliError(f"bad --formula {args.formula!r}")
     what, label, name = match.groups()
+    n = model.num_labels
+    if what is not None:
+        name = f"{what}:{int(label)}"
+        if int(label) >= n:
+            raise CliError(f"no {name} root: the model has labels 0..{n - 1}")
     if what == "model":
         circ = circuit_mod.compile_model(model, domain)
         return circ, circ.output(f"model_{int(label)}")
-    n = models.num_labels(model)
     if what is not None:
         truth = _truth_predicates(args, domain, n)
         circ, roots = metrics_mod.learnability_plan(model, truth, domain)
         if what == "truth":
             return circ, circ.output(f"truth_{int(label)}")
-        name = f"{what}:{int(label)}"
     elif name == "robustness":
         center = _parse_center(args.center)
         circ, roots = metrics_mod.robustness_plan(model, center, args.epsilon, domain)
     else:
         circ, roots = metrics_mod.safety_plan(model, _safety_property(args, domain, n), domain)
-    if name not in roots:
-        raise CliError(f"no {name} root: the model has labels 0..{n - 1}")
     return circ, roots[name]
 
 
@@ -267,7 +268,7 @@ def cmd_emit(args) -> int:
 def cmd_oracle(args) -> int:
     domain = _load_domain(args.domain, args.nodes)
     model = _load_model(args.model, domain)
-    truth = _truth_predicates(args, domain, models.num_labels(model))
+    truth = _truth_predicates(args, domain, model.num_labels)
     try:
         report = oracle.brute_learnability(model, truth, domain, cap=args.cap)
     except oracle.OracleCapError as exc:
@@ -322,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_required=True):
+    def common(p):
         p.add_argument("--domain", help="domain JSON file, or graphN for an N-node graph domain")
-        p.add_argument("--model", required=model_required, help="model JSON file")
+        p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--property", help="builtin graph property name or predicate/property file")
         p.add_argument("--nodes", type=int, help="graph size for builtin properties")
         p.add_argument("--pre", help="safety precondition (predicate text or file)")

@@ -40,34 +40,21 @@ class CnfFormula:
 def tseitin(circuit: Circuit, root: int) -> CnfFormula:
     """CNF for `root` AND the domain-range constraint, projection = input bits.
 
-    One ascending pass over the reachable gates numbers each gate and emits
-    its clauses: gates are in topological order, so a gate's operands are
-    numbered before it.
+    One pass over the gates of `Circuit.cone` numbers each gate and emits
+    its clauses: the cone is ascending, so a gate's operands are numbered
+    before it.
     """
     n_inputs = circuit.num_input_bits
     gates = circuit.gates
-    targets = [root]
-    if circuit.domain_wire != root:
-        targets.append(circuit.domain_wire)
-
-    reachable = bytearray(n_inputs + len(gates))
-    stack = list(targets)
-    while stack:
-        w = stack.pop()
-        if w < n_inputs or reachable[w]:
-            continue
-        reachable[w] = 1
-        gate = gates[w - n_inputs]
-        if gate[0] != "const":
-            stack.extend(gate[1:])
+    targets = (root, circuit.domain_wire)
 
     var_of = list(range(1, n_inputs + 1)) + [0] * len(gates)
     clauses: list[tuple[int, ...]] = []
     add = clauses.append
     units = set()
     v = n_inputs
-    for w in range(n_inputs, n_inputs + len(gates)):
-        if not reachable[w]:
+    for w in circuit.cone(targets):
+        if w < n_inputs:
             continue
         v += 1
         var_of[w] = v

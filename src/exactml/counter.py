@@ -201,15 +201,17 @@ class _Engine:
         if self.stats["decisions"] > self.budget:
             raise _BudgetExceeded()
 
-    def first_free_in_unsatisfied(self) -> int:
-        """The first free variable of the first unsatisfied clause that has one."""
-        for ci, clause in enumerate(self.clauses):
+    def first_free_in_unsatisfied(self, start: int) -> tuple[int, int]:
+        """`(clause index, variable)`: the first free variable of the first
+        unsatisfied clause at or after `start` that has one; variable 0 if none.
+        """
+        for ci in range(start, len(self.clauses)):
             if self.satisfied[ci]:
                 continue
-            for lit in clause:
+            for lit in self.clauses[ci]:
                 if self.assign[abs(lit)] == 0:
-                    return abs(lit)
-        return 0
+                    return ci, abs(lit)
+        return len(self.clauses), 0
 
 
 def _branch_order(cnf: CnfFormula) -> list[int]:
@@ -238,7 +240,9 @@ def _count_engine(cnf: CnfFormula, stats: dict, budget: int) -> int:
     n = len(order)
     assign = engine.assign
     proj_mask = engine.proj_mask
-    stack = []  # frames [var, next pos, phases tried, subtotal, marks]
+    # frames [var, next pos, phases tried, subtotal, marks, clause index]: every
+    # clause before a frame's clause stays satisfied along its branches
+    stack = []
     pos = 0
     while True:
         # a node: count it here, or open a frame and branch below
@@ -249,15 +253,15 @@ def _count_engine(cnf: CnfFormula, stats: dict, budget: int) -> int:
             while pos < n and assign[order[pos]] != 0:
                 pos += 1
             if pos < n:
-                var = order[pos]
+                ci, var = 0, order[pos]
             else:
                 # the projection is total: search below it for one model
-                var = engine.first_free_in_unsatisfied()
+                ci, var = engine.first_free_in_unsatisfied(stack[-1][5] if stack else 0)
             if var == 0:
                 value = 0  # an unsatisfied clause with every literal false
             else:
                 engine.spend_decision()
-                stack.append([var, pos + 1, 0, 0, None])
+                stack.append([var, pos + 1, 0, 0, None, ci])
         # add `value` into the frames until one has a branch left to enter:
         # a frame below the projection is done at its first model
         while stack:

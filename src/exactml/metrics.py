@@ -28,7 +28,7 @@ from .circuit import (
 )
 from .cnf import CnfFormula, tseitin
 from .counter import CountResult
-from .models import InputDomain, Model, ModelError, eval_model, num_labels
+from .models import InputDomain, Model, ModelError, eval_model
 from .predicates import (
     Not,
     Predicate,
@@ -121,7 +121,7 @@ def learnability_plan(
     model: Model, truth_predicates: Mapping[int, Predicate], domain: InputDomain
 ) -> Plan:
     """The confusion cells `tp:L`, `fp:L`, `tn:L`, `fn:L` of every label L."""
-    labels = range(num_labels(model))
+    labels = range(model.num_labels)
     if sorted(truth_predicates) != list(labels):
         raise ModelError(
             f"need one truth predicate per label {list(labels)}, got {sorted(truth_predicates)}"
@@ -173,7 +173,7 @@ def learnability(
     size = domain.size()
     gaps = []
     per_label = []
-    for l in range(num_labels(model)):
+    for l in range(model.num_labels):
         cells = {}
         for kind in METRIC_KINDS:
             result = results[f"{kind}:{l}"]
@@ -203,7 +203,7 @@ def safety(
     without compiling anything.
     """
     for label in prop.allowed:
-        if not (0 <= label < num_labels(model)):
+        if not (0 <= label < model.num_labels):
             raise ModelError(f"allowed label {label} out of range")
     box = bounding_box(prop.pre, domain)
     if box is None:

@@ -353,10 +353,6 @@ def eval_network(net: QuantizedNetwork, point: Sequence[int], domain: InputDomai
 Model = Union[DecisionTree, QuantizedNetwork]
 
 
-def num_labels(model: Model) -> int:
-    return model.num_labels if isinstance(model, QuantizedNetwork) else model.num_labels
-
-
 def eval_model(model: Model, point: Sequence[int], domain: InputDomain) -> int:
     if isinstance(model, DecisionTree):
         return eval_tree(model, point, domain)

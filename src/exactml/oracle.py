@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .models import InputDomain, Model, ModelError, eval_model, num_labels
+from .models import InputDomain, Model, ModelError, eval_model
 from .predicates import Predicate, RobustnessRegion, validate_predicate
 
 ENUMERATION_CAP = 1 << 24
@@ -51,7 +51,7 @@ def brute_learnability(
     """Exhaustively tally TP/FP/TN/FN per label against the ground truth."""
     _check_cap(domain.size(), cap)
     labels = sorted(truth_predicates)
-    if labels != list(range(num_labels(model))):
+    if labels != list(range(model.num_labels)):
         raise ModelError("need one truth predicate per label")
     for pred in truth_predicates.values():
         validate_predicate(pred, domain)

@@ -29,7 +29,7 @@ from exactml.counter import (
     probe_functional_extension,
 )
 from exactml.metrics import safety, statistical_baseline
-from exactml.models import eval_model, load_tree, num_labels
+from exactml.models import eval_model, load_tree
 from exactml.oracle import (
     brute_learnability,
     brute_robustness,
@@ -78,7 +78,7 @@ def suite_results(model_suite):
         for l, pred in inst.truth.items():
             compile_predicate(circ, pred, f"truth_{l}")
         res = InstanceResult(inst, circ)
-        for l in range(num_labels(inst.model)):
+        for l in range(inst.model.num_labels):
             for kind in ("tp", "fp", "tn", "fn"):
                 formula = tseitin(circ, compose_metric(circ, l, kind))
                 res.formulas[(l, kind)] = formula
@@ -128,7 +128,7 @@ def test_criterion_3_partition_identities(suite_results):
         rng = random.Random(90125)
         for res in results:
             size = res.instance.domain.size()
-            labels = range(num_labels(res.instance.model))
+            labels = range(res.instance.model.num_labels)
             for l in labels:
                 cells = [res.pipeline[(l, k)] for k in ("tp", "fp", "tn", "fn")]
                 assert sum(cells) == size, (res.instance.name, l)
@@ -276,7 +276,7 @@ def test_criterion_8_partial_evaluation_shrinks_formulas(suite_results):
                 pinned += f.bit_width
             assert pinned * 10 >= total_bits
             reduced = partial_evaluate(circ, fixed)
-            labels = range(num_labels(inst.model))
+            labels = range(inst.model.num_labels)
             for l in labels:
                 before = tseitin(circ, circ.output(f"model_{l}"))
                 after = tseitin(reduced, reduced.output(f"model_{l}"))

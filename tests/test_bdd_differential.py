@@ -20,7 +20,7 @@ from exactml.circuit import Circuit, compile_model, compile_predicate  # noqa: E
 from exactml.cnf import tseitin  # noqa: E402
 from exactml.counter import count_projected  # noqa: E402
 from exactml.metrics import learnability, robustness, safety, tseitin_count_fn  # noqa: E402
-from exactml.models import eval_model, num_labels  # noqa: E402
+from exactml.models import eval_model  # noqa: E402
 from exactml.oracle import (  # noqa: E402
     brute_count_predicate,
     brute_learnability,
@@ -64,7 +64,7 @@ class TestDifferential:
         dom = make_domain(ranges)
         model = _random_model(rng, dom, kind)
         circ = compile_model(model, dom)
-        roots = {l: circ.output(f"model_{l}") for l in range(num_labels(model))}
+        roots = {l: circ.output(f"model_{l}") for l in range(model.num_labels)}
         tables, bdds = count_roots(circ, roots), count_on_bdd(circ, roots)
         for l, root in roots.items():
             want = sum(1 for p in enumerate_domain(dom) if eval_model(model, p, dom) == l)
@@ -91,7 +91,7 @@ class TestDifferential:
         rng = random.Random(seed)
         dom = make_domain(ranges)
         model = _random_model(rng, dom, kind)
-        truth = truth_family(rng, dom, num_labels(model))
+        truth = truth_family(rng, dom, model.num_labels)
         want = brute_learnability(model, truth, dom).counts
         for count_fn in (None, count_on_bdd, DPLL):
             report = learnability(model, truth, dom, count_fn=count_fn)

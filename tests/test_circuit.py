@@ -256,6 +256,52 @@ class TestConstrainRegion:
         assert c.simulate((12, 10, 10, 10))[root] is False
 
 
+class TestCone:
+    def test_ascending_closed_and_minimal(self):
+        rng = random.Random(8)
+        dom = make_domain([(0, 7), (-2, 5), (0, 3)])
+        c = compile_network(random_network(rng, dom, hidden=(3,)), dom)
+        compile_predicate(c, random_predicate(rng, dom), "truth_1")
+        base = c.num_input_bits
+
+        def operands(w):
+            if w < base or c.gates[w - base][0] == "const":
+                return ()
+            return c.gates[w - base][1:]
+
+        for roots in ([c.output("model_1")], list(c.outputs.values()), [c.domain_wire, 0]):
+            cone = c.cone(roots)
+            assert cone == sorted(set(cone))
+            assert set(roots) <= set(cone)
+            read = {x for w in cone for x in operands(w)}
+            assert read <= set(cone)  # every wire a member reads, input bits too
+            assert set(cone) - read <= set(roots)  # and nothing no root reads
+
+    def test_small_cone_lists_operands_first(self):
+        c = Circuit(make_domain([(0, 1)] * 3))
+        x = c.and_(0, 1)
+        y = c.or_(x, 2)
+        c.xor_(y, 0)  # a reader outside the cone
+        assert c.cone([y]) == [0, 1, 2, x, y]
+        assert c.cone([x, 2]) == [0, 1, 2, x]
+
+    def test_done_is_neither_entered_nor_returned(self):
+        c = Circuit(make_domain([(0, 1)] * 3))
+        x = c.and_(0, 1)
+        y = c.or_(x, 2)
+        assert c.cone([y], done={x}) == [2, y]
+        assert c.cone([y], done={x: None, 2: None}) == [y]
+        assert c.cone([y], done={0}) == [1, 2, x, y]
+        assert c.cone([y, x], done={y}) == [0, 1, x]
+        assert c.cone([y], done={y}) == []
+
+    def test_const_gate_adds_no_operands(self):
+        c = Circuit(make_domain([(0, 1)] * 2))
+        t, f = c.const(True), c.const(False)
+        assert c.cone([t]) == [t]
+        assert c.cone([f, 1]) == [1, f]
+
+
 class TestPartialEvaluate:
     def test_fix_all_inputs_yields_constants(self, bits2_domain, xor_tree):
         c = compile_tree(xor_tree, bits2_domain)

@@ -209,7 +209,12 @@ class TestRobustness:
         code = run(["emit", "--domain", workdir / "bits2.json",
                     "--model", workdir / "xor_tree.json", "--formula", "model:9"])
         assert code == 1
-        assert "missing wire" in capsys.readouterr().err
+        assert "no model:9 root: the model has labels 0..1" in capsys.readouterr().err
+        for formula in ("truth:9", "tp:9"):
+            code = run(["emit", "--domain", "graph3", "--model", workdir / "reflexive_tree.json",
+                        "--property", "reflexive", "--nodes", "3", "--formula", formula])
+            assert code == 1
+            assert f"no {formula} root: the model has labels 0..1" in capsys.readouterr().err
 
 
 class TestEmit:
