@@ -14,7 +14,9 @@ that its roots read through it, in ascending wire order.
 
 Arithmetic (for networks and feature-to-feature comparisons) is two's
 complement with widths chosen from exact interval bounds, so overflow is
-impossible by construction.
+impossible by construction. `logit_bounds` computes a network's logit
+bounds without building gates, so `interval_label` can decide its argmax
+on a box before anything is compiled.
 """
 
 from __future__ import annotations
@@ -429,13 +431,12 @@ def compile_tree(tree: DecisionTree, domain: InputDomain) -> Circuit:
     return c
 
 
-def compile_network(net: QuantizedNetwork, domain: InputDomain) -> Circuit:
-    """Bit-blast the affine layers and the argmax decision (ties -> lowest label)."""
-    c = Circuit(domain)
+def network_logits(c: Circuit, net: QuantizedNetwork) -> list[Bundle]:
+    """Bit-blast the affine layers over the circuit's domain; returns the logits."""
     # first layer reads offset-binary encodings; feature lo offsets fold into biases
     enc_bundles = []
     offsets = []
-    for i, f in enumerate(domain.features):
+    for i, f in enumerate(c.domain.features):
         span = f.hi - f.lo
         enc_bundles.append(c._register(c.feature_bits(i) + (c.const(False),), 0, span))
         offsets.append(f.lo)
@@ -454,7 +455,13 @@ def compile_network(net: QuantizedNetwork, domain: InputDomain) -> Circuit:
             out.append(z)
         acts = out
         offsets = [0] * len(out)
-    logits = acts
+    return acts
+
+
+def compile_network(net: QuantizedNetwork, domain: InputDomain) -> Circuit:
+    """Bit-blast the affine layers and the argmax decision (ties -> lowest label)."""
+    c = Circuit(domain)
+    logits = network_logits(c, net)
     for l in range(len(logits)):
         conds = []
         for j in range(len(logits)):
@@ -464,6 +471,41 @@ def compile_network(net: QuantizedNetwork, domain: InputDomain) -> Circuit:
                 conds.append(c.signed_le(logits[j], logits[l]))  # logit_l >= logit_j
         c.set_output(f"model_{l}", c.and_all(conds))
     return c
+
+
+def logit_bounds(net: QuantizedNetwork, domain: InputDomain) -> list[tuple[int, int]]:
+    """The exact `[lo, hi]` of each logit, as the `Bundle`s of `network_logits` carry it."""
+    bounds = [(f.lo, f.hi) for f in domain.features]
+    for layer in net.layers:
+        out = []
+        for row, bias in zip(layer.weights, layer.biases):
+            lo = hi = bias
+            for w, (a_lo, a_hi) in zip(row, bounds):
+                lo += w * (a_lo if w > 0 else a_hi)
+                hi += w * (a_hi if w > 0 else a_lo)
+            lo, hi = lo >> layer.post_shift, hi >> layer.post_shift
+            if layer.activation == "relu":
+                lo, hi = max(lo, 0), max(hi, 0)
+            out.append((lo, hi))
+        bounds = out
+    return bounds
+
+
+def interval_label(model: Model, domain: InputDomain) -> Optional[int]:
+    """The label a network decides on every point of `domain`, if its logit bounds prove it.
+
+    Label l wins where every lower label's logit is below its own and no
+    higher one is above it (the argmax of `compile_network`). None when the
+    bounds leave the decision open, and for trees, whose circuits
+    `compile_tree` already folds against the domain.
+    """
+    if not isinstance(model, QuantizedNetwork):
+        return None
+    bounds = logit_bounds(model, domain)
+    for l, (lo, _) in enumerate(bounds):
+        if all(hi < lo for _, hi in bounds[:l]) and all(hi <= lo for _, hi in bounds[l + 1:]):
+            return l
+    return None
 
 
 def compile_model(model: Model, domain: InputDomain) -> Circuit:

@@ -87,16 +87,16 @@ def _predicate_from_arg(arg: str, domain, nodes: Optional[int]):
 
 def _parse_post(arg: str, n_labels: int) -> frozenset:
     """--post "1,2" allows those labels; "!2" allows every other label."""
-    arg = arg.strip()
-    if arg.startswith("!"):
-        denied = {int(tok) for tok in arg[1:].split(",")}
-        allowed = frozenset(range(n_labels)) - denied
-    else:
-        allowed = frozenset(int(tok) for tok in arg.split(","))
-    for label in allowed:
+    text = arg.strip()
+    deny = text.startswith("!")
+    try:
+        labels = {int(tok) for tok in (text[1:] if deny else text).split(",")}
+    except ValueError as exc:
+        raise CliError(f"bad --post value {arg!r}") from exc
+    for label in sorted(labels):
         if not (0 <= label < n_labels):
             raise CliError(f"post label {label} out of range")
-    return allowed
+    return frozenset(range(n_labels)) - labels if deny else frozenset(labels)
 
 
 def _make_count_fn(backend: str, budget: int, dialect: str):

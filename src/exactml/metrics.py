@@ -9,9 +9,13 @@ full domain.
 Robustness and safety compile the model over the property's box (the
 L-infinity region, or the bounding box of Pre) instead of the whole domain:
 no input outside the box can satisfy the root, so the counts are the same
-and the circuits are smaller. Derived ratios are exact rationals; a seeded
-Monte-Carlo baseline of the same quantities is available for side-by-side
-reporting.
+and the circuits are smaller. Before compiling, exact interval bounds on a
+network's logits may decide its decision on the whole box
+(`circuit.interval_label`); then nothing of the model is compiled or
+counted: robustness is the whole ball, and safety counts only Pre, with a
+constant Post. Those counts carry the method "interval". Derived ratios are
+exact rationals; a seeded Monte-Carlo baseline of the same quantities is
+available for side-by-side reporting.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from . import bdd
 from .circuit import (
     METRIC_KINDS, Circuit, compile_model, compile_predicate, compose_metric, constrain_region,
+    interval_label,
 )
 from .cnf import CnfFormula, tseitin
 from .counter import CountResult
@@ -200,16 +205,27 @@ def safety(
     """Counts of Pre-inputs on which the decision does / does not meet Post.
 
     Counts range over the bounding box of Pre; an empty box is vacuous
-    without compiling anything.
+    without compiling anything, and a box on which the decision is
+    interval-decided compiles only Pre.
     """
     for label in prop.allowed:
         if not (0 <= label < model.num_labels):
             raise ModelError(f"allowed label {label} out of range")
-    box = bounding_box(prop.pre, domain)
-    if box is None:
+    intervals = bounding_box(prop.pre, domain)
+    if intervals is None:
         return SafetyReport(0, 0, 0, None, True)
-    circuit, roots = safety_plan(model, prop, box_domain(domain, box))
-    results = (count_fn or bdd.count_roots)(circuit, roots)
+    box = box_domain(domain, intervals)
+    count_fn = count_fn or bdd.count_roots
+    label = interval_label(model, box)
+    if label is None:
+        results = count_fn(*safety_plan(model, prop, box))
+    else:
+        # Post is constant over the box: sat is pre or nothing, viol the other
+        circuit = Circuit(box)
+        pre = count_fn(circuit, {"pre": compile_predicate(circuit, prop.pre)})["pre"]
+        none = CountResult(0, "interval", {}, False)
+        sat, viol = (pre, none) if label in prop.allowed else (none, pre)
+        results = {"pre": pre, "sat": sat, "viol": viol}
 
     gaps = [f"{name}: budget exhausted" for name, r in results.items() if r.exhausted]
     pre_size, sat, viol = (results[name].count for name in ("pre", "sat", "viol"))
@@ -230,12 +246,18 @@ def robustness(
     """Fraction of the L-inf ball around `center` classified like the center.
 
     The model is compiled over the ball itself, so its circuit reads only
-    the bits that vary inside the ball.
+    the bits that vary inside the ball; it is not compiled at all when the
+    decision is interval-decided on the ball.
     """
     target = eval_model(model, center, domain)
     reg = region(center, epsilon, domain)
-    circuit, roots = robustness_plan(model, center, epsilon, box_domain(domain, reg.intervals))
-    result = (count_fn or bdd.count_roots)(circuit, roots)["robustness"]
+    ball = box_domain(domain, reg.intervals)
+    if interval_label(model, ball) is not None:
+        # the center lies in the ball, so the decided label is the target
+        result = CountResult(reg.size(), "interval", {}, False)
+    else:
+        circuit, roots = robustness_plan(model, center, epsilon, ball)
+        result = (count_fn or bdd.count_roots)(circuit, roots)["robustness"]
     if result.exhausted:
         return RobustnessReport(
             target, reg.size(), None, None, tuple(center), epsilon,

@@ -19,7 +19,14 @@ from exactml.bdd import count_roots  # noqa: E402
 from exactml.circuit import Circuit, compile_model, compile_predicate  # noqa: E402
 from exactml.cnf import tseitin  # noqa: E402
 from exactml.counter import count_projected  # noqa: E402
-from exactml.metrics import learnability, robustness, safety, tseitin_count_fn  # noqa: E402
+from exactml.metrics import (  # noqa: E402
+    learnability,
+    robustness,
+    robustness_plan,
+    safety,
+    safety_plan,
+    tseitin_count_fn,
+)
 from exactml.models import eval_model  # noqa: E402
 from exactml.oracle import (  # noqa: E402
     brute_count_predicate,
@@ -27,7 +34,7 @@ from exactml.oracle import (  # noqa: E402
     brute_robustness,
     enumerate_domain,
 )
-from exactml.predicates import SafetyProperty, bounding_box, region  # noqa: E402
+from exactml.predicates import SafetyProperty, bounding_box, box_domain, region  # noqa: E402
 
 from conftest import (  # noqa: E402
     count_on_bdd,
@@ -118,17 +125,56 @@ class TestDifferential:
         dom = make_domain(ranges)
         model = _random_model(rng, dom, kind)
         prop = SafetyProperty(random_predicate(rng, dom, depth=3), frozenset({0}))
-        sat = viol = 0
-        for point in enumerate_domain(dom):
-            if prop.pre.evaluate(point):
-                if eval_model(model, point, dom) in prop.allowed:
-                    sat += 1
-                else:
-                    viol += 1
+        sat, viol = _brute_safety(model, prop, dom)
         for count_fn in (None, count_on_bdd, DPLL):
             report = safety(model, prop, dom, count_fn=count_fn)
             assert (report.pre_size, report.sat_count, report.viol_count) == (sat + viol, sat, viol)
             assert report.vacuous == (sat + viol == 0)
+
+    # `robustness` and `safety` skip the plan when interval bounds decide the
+    # network, as they do on most small boxes, so the plans are counted here
+
+    @SETTINGS
+    @given(feature_ranges, seeds, st.integers(0, 3), st.sampled_from(["tree", "network"]))
+    def test_robustness_plan_over_the_domain_and_the_ball(self, ranges, seed, eps, kind):
+        rng = random.Random(seed)
+        dom = make_domain(ranges)
+        model = _random_model(rng, dom, kind)
+        center = random_point(rng, dom)
+        reg = region(center, eps, dom)
+        _, correct = brute_robustness(model, center, reg, dom)
+        for over in (dom, box_domain(dom, reg.intervals)):
+            circ, roots = robustness_plan(model, center, eps, over)
+            for counts in (count_roots(circ, roots), count_on_bdd(circ, roots)):
+                assert counts["robustness"].count == correct
+
+    @SETTINGS
+    @given(feature_ranges, seeds, st.sampled_from(["tree", "network"]))
+    def test_safety_plan_over_the_domain_and_the_pre_box(self, ranges, seed, kind):
+        rng = random.Random(seed)
+        dom = make_domain(ranges)
+        model = _random_model(rng, dom, kind)
+        prop = SafetyProperty(random_predicate(rng, dom, depth=3), frozenset({1}))
+        sat, viol = _brute_safety(model, prop, dom)
+        box = bounding_box(prop.pre, dom)
+        for over in (dom,) if box is None else (dom, box_domain(dom, box)):
+            circ, roots = safety_plan(model, prop, over)
+            for counts in (count_roots(circ, roots), count_on_bdd(circ, roots)):
+                assert [counts[name].count for name in ("pre", "sat", "viol")] == [
+                    sat + viol, sat, viol,
+                ]
+
+
+def _brute_safety(model, prop, dom):
+    """(sat, viol) by enumeration: Pre-points whose label is / is not allowed."""
+    sat = viol = 0
+    for point in enumerate_domain(dom):
+        if prop.pre.evaluate(point):
+            if eval_model(model, point, dom) in prop.allowed:
+                sat += 1
+            else:
+                viol += 1
+    return sat, viol
 
 
 @SETTINGS

@@ -157,6 +157,23 @@ class TestSafety:
         assert doc["sat_count"] == 2  # xor tree labels (0,1),(1,0) as 1
 
 
+    @pytest.mark.parametrize("post", ["x", "!", "1,", " !0,y "])
+    def test_bad_post_value(self, workdir, capsys, post):
+        code = run(["safety", "--domain", workdir / "bits2.json",
+                    "--model", workdir / "xor_tree.json",
+                    "--pre", "true", "--post", post])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: bad --post value {post!r}\n"
+
+    @pytest.mark.parametrize("post", ["2", "!2", "0,-1"])
+    def test_post_label_out_of_range(self, workdir, capsys, post):
+        code = run(["safety", "--domain", workdir / "bits2.json",
+                    "--model", workdir / "xor_tree.json",
+                    "--pre", "true", "--post", post])
+        assert code == 1
+        assert "out of range" in capsys.readouterr().err
+
+
 class TestRobustness:
     def test_epsilon_zero(self, workdir):
         out = workdir / "rob0.json"

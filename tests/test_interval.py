@@ -1,0 +1,94 @@
+"""`circuit.interval_label`: sound, and bounded exactly like the compiled logits.
+
+Needs `hypothesis`; skipped where it is missing.
+"""
+
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from exactml.circuit import Circuit, interval_label, logit_bounds, network_logits  # noqa: E402
+from exactml.models import eval_model, load_network, network_to_document  # noqa: E402
+from exactml.oracle import enumerate_domain  # noqa: E402
+
+from conftest import make_domain, random_network, random_tree  # noqa: E402
+
+feature_ranges = st.lists(
+    st.tuples(st.integers(-8, 8), st.integers(0, 5)).map(lambda t: (t[0], t[0] + t[1])),
+    min_size=1,
+    max_size=3,
+)
+seeds = st.integers(0, 2**32 - 1)
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def _network(rng, dom):
+    """A random net with 0-2 hidden layers, either activation and shifts 0-2."""
+    net = random_network(
+        rng, dom,
+        hidden=rng.choice(((), (2,), (3, 2))),
+        num_labels=rng.choice((2, 3)),
+        weight_range=rng.choice((1, 3, 7)),
+    )
+    doc = network_to_document(net)
+    for layer in doc["layers"][:-1]:
+        layer["activation"] = rng.choice(("relu", "none"))
+        layer["post_shift"] = rng.randint(0, 2)
+    return load_network(doc, dom)
+
+
+@SETTINGS
+@given(feature_ranges, seeds)
+def test_a_decided_label_is_the_decision_on_every_point(ranges, seed):
+    rng = random.Random(seed)
+    dom = make_domain(ranges)
+    net = _network(rng, dom)
+    label = interval_label(net, dom)
+    if label is not None:
+        assert all(eval_model(net, p, dom) == label for p in enumerate_domain(dom))
+
+
+@SETTINGS
+@given(feature_ranges, seeds)
+def test_logit_bounds_are_those_of_the_compiled_logits(ranges, seed):
+    rng = random.Random(seed)
+    dom = make_domain(ranges)
+    net = _network(rng, dom)
+    logits = network_logits(Circuit(dom), net)
+    assert [(b.lo, b.hi) for b in logits] == logit_bounds(net, dom)
+
+
+def test_random_nets_on_small_boxes_are_both_decided_and_open():
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(60):
+        dom = make_domain([(lo, lo + rng.randint(0, 3)) for lo in (rng.randint(-8, 8) for _ in range(2))])
+        outcomes.add(interval_label(_network(rng, dom), dom) is None)
+    assert outcomes == {True, False}
+
+
+def test_equal_constant_logits_go_to_the_lowest_label():
+    dom = make_domain([(0, 3)])
+    net = load_network(
+        {"layers": [{"weights": [[0], [0], [0]], "biases": [1, 5, 5], "activation": "none"}]}, dom
+    )
+    assert interval_label(net, dom) == 1
+
+
+def test_a_point_domain_decides_like_eval_model():
+    rng = random.Random(11)
+    for _ in range(50):
+        dom = make_domain([(v, v) for v in (rng.randint(-8, 8) for _ in range(3))])
+        net = _network(rng, dom)
+        assert interval_label(net, dom) == eval_model(net, next(enumerate_domain(dom)), dom)
+
+
+def test_trees_are_never_decided():
+    dom = make_domain([(0, 3)])
+    tree = random_tree(random.Random(1), dom, max_depth=0)
+    assert interval_label(tree, dom) is None

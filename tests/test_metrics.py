@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import exactml.metrics
 from exactml.bdd import count_roots
+from exactml.circuit import interval_label
+from exactml.counter import CountResult
 from exactml.metrics import (
     binary_truth,
     learnability,
@@ -15,10 +18,11 @@ from exactml.metrics import (
     safety_to_document,
     statistical_baseline,
 )
-from exactml.models import load_tree
+from exactml.models import load_network, load_tree
 from exactml.oracle import brute_learnability, brute_robustness
 from exactml.predicates import (
     SafetyProperty,
+    box_domain,
     builtin_graph_property,
     graph_domain,
     parse_predicate,
@@ -205,6 +209,71 @@ class TestRobustness:
             size, correct = brute_robustness(tree, center, region(center, 2, dom), dom)
             assert report.region_size == size
             assert report.correct_count == correct
+
+
+def _never(circuit, roots):
+    raise AssertionError(f"counted {sorted(roots)}")
+
+
+def _pre_only(circuit, roots):
+    if set(roots) != {"pre"} or any(name.startswith("model_") for name in circuit.outputs):
+        raise AssertionError(f"counted {sorted(roots)} on a circuit with the network")
+    return count_roots(circuit, roots)
+
+
+class TestIntervalDecided:
+    """A decision that interval bounds decide is counted without the network.
+
+    The net decides label 0 iff f0 >= f1; both reports must equal those of
+    the plan path, which the patched `interval_label` forces.
+    """
+
+    @pytest.fixture
+    def dom(self):
+        return make_domain([(0, 15), (0, 15)])
+
+    @pytest.fixture
+    def net(self, dom):
+        return load_network(
+            {"layers": [{"weights": [[1, -1], [0, 0]], "biases": [0, 0], "activation": "none"}]},
+            dom,
+        )
+
+    @staticmethod
+    def _plan_path(monkeypatch, metric, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(exactml.metrics, "interval_label", lambda model, domain: None)
+            return metric(*args)
+
+    def test_robustness(self, monkeypatch, dom, net):
+        ball = box_domain(dom, region((12, 2), 2, dom).intervals)
+        assert interval_label(net, ball) == 0
+        report = robustness(net, (12, 2), 2, dom, count_fn=_never)
+        assert (report.correct_count, report.robustness) == (25, 1)
+        assert report == self._plan_path(monkeypatch, robustness, net, (12, 2), 2, dom)
+
+    @pytest.mark.parametrize("allowed, counts", [({0}, (25, 25, 0)), ({1}, (25, 0, 25))])
+    def test_safety(self, monkeypatch, dom, net, allowed, counts):
+        prop = SafetyProperty(
+            parse_predicate("f0 >= 10 && f1 <= 4 && f0 != 12", dom), frozenset(allowed)
+        )
+        report = safety(net, prop, dom, count_fn=_pre_only)
+        assert (report.pre_size, report.sat_count, report.viol_count) == counts
+        assert report == self._plan_path(monkeypatch, safety, net, prop, dom)
+
+    def test_an_open_decision_still_compiles_the_network(self, dom, net):
+        prop = SafetyProperty(parse_predicate("f0 >= 10", dom), frozenset({0}))
+        with pytest.raises(AssertionError, match="with the network"):
+            safety(net, prop, dom, count_fn=_pre_only)
+        with pytest.raises(AssertionError, match="counted"):
+            robustness(net, (12, 12), 1, dom, count_fn=_never)
+
+    def test_an_exhausted_pre_leaves_the_constant_count(self, dom, net):
+        prop = SafetyProperty(parse_predicate("f0 >= 10 && f1 <= 4", dom), frozenset({0}))
+        exhausted = {"pre": CountResult(None, "table", {}, True)}
+        report = safety(net, prop, dom, count_fn=lambda circuit, roots: exhausted)
+        assert (report.pre_size, report.sat_count, report.viol_count) == (None, None, 0)
+        assert report.gaps == ("pre: budget exhausted", "sat: budget exhausted")
 
 
 class TestStatisticalBaseline:
