@@ -78,7 +78,6 @@ class Circuit:
         self.num_input_bits = total
         self.gates: list[tuple] = []  # ("const", v) | ("not", a) | (op, a, b)
         self.outputs: dict[str, int] = {}
-        self.bundles: list[Bundle] = []
         self._cache: dict[tuple, int] = {}
         self._neg: dict[int, int] = {}
         self._consts: dict[int, bool] = {}  # const wire -> value; two at most
@@ -262,9 +261,7 @@ class Circuit:
             raise WidthOverflowError(
                 f"width overflow: bundle needs {len(bits)} bits, maximum is {MAX_BUNDLE_WIDTH}"
             )
-        bundle = Bundle(tuple(bits), lo, hi)
-        self.bundles.append(bundle)
-        return bundle
+        return Bundle(tuple(bits), lo, hi)
 
     def const_bundle(self, v: int) -> Bundle:
         w = _signed_width(v, v)
@@ -382,19 +379,6 @@ class Circuit:
             else:
                 values[base + gi] = values[gate[1]] ^ values[gate[2]]
         return values
-
-    def simulate_outputs(self, point: Sequence[int]) -> dict[str, bool]:
-        values = self.simulate(point)
-        return {name: values[w] for name, w in self.outputs.items()}
-
-    def bundle_value(self, bundle: Bundle, values: Sequence[bool]) -> int:
-        v = 0
-        for i, b in enumerate(bundle.bits):
-            if values[b]:
-                v |= 1 << i
-        if values[bundle.bits[-1]]:
-            v -= 1 << len(bundle.bits)
-        return v
 
 
 # ---------------------------------------------------------------------------

@@ -235,19 +235,26 @@ def _build_formula(args, domain, model):
         name = f"{what}:{int(label)}"
         if int(label) >= n:
             raise CliError(f"no {name} root: the model has labels 0..{n - 1}")
+    # parse every argument before compiling the full-domain circuit
     if what == "model":
-        circ = circuit_mod.compile_model(model, domain)
-        return circ, circ.output(f"model_{int(label)}")
-    if what is not None:
-        truth = _truth_predicates(args, domain, n)
-        circ, roots = metrics_mod.learnability_plan(model, truth, domain)
-        if what == "truth":
-            return circ, circ.output(f"truth_{int(label)}")
+        roots_of = None
+    elif what is not None:
+        roots_of = functools.partial(
+            metrics_mod.learnability_roots, truth_predicates=_truth_predicates(args, domain, n)
+        )
     elif name == "robustness":
         center = _parse_center(args.center)
-        circ, roots = metrics_mod.robustness_plan(model, center, args.epsilon, domain)
+        roots_of = functools.partial(
+            metrics_mod.robustness_roots,
+            target=models.eval_model(model, center, domain),
+            region=predicates.region(center, args.epsilon, domain),
+        )
     else:
-        circ, roots = metrics_mod.safety_plan(model, _safety_property(args, domain, n), domain)
+        roots_of = functools.partial(metrics_mod.safety_roots, prop=_safety_property(args, domain, n))
+    circ = circuit_mod.compile_model(model, domain)
+    roots = roots_of(circ) if roots_of else {}
+    if what in ("model", "truth"):
+        return circ, circ.output(f"{what}_{int(label)}")
     return circ, roots[name]
 
 
@@ -293,7 +300,8 @@ def cmd_oracle(args) -> int:
             for kind in ("tp", "fp", "tn", "fn"):
                 want = report.counts[(label, kind)]
                 got = entry.get(kind)
-                if got != want:
+                # a null cell is a budget gap, not a count
+                if got is not None and got != want:
                     print(
                         f"mismatch at label {label} {kind}: report has {got}, oracle has {want}",
                         file=sys.stderr,

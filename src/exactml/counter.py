@@ -33,7 +33,7 @@ ENUMERATE_CAP = 24
 @dataclass
 class CountResult:
     count: Optional[int]  # None iff exhausted
-    method: str  # "table" | "bdd" | "dpll_projected" | "enumeration" | "external" | "interval"
+    method: str  # "table" | "bdd" | "dpll_projected" | "enumeration" | "external" | "constant"
     stats: dict = field(default_factory=dict)
     exhausted: bool = False
 

@@ -1,21 +1,23 @@
 """Exact learnability, safety and robustness quantification.
 
-Each metric counts the named roots of its plan (`learnability_plan`,
-`safety_plan`, `robustness_plan`): confusion-cell conjunctions of ground
+Every metric counts through one seam, `count_over(model, domain, roots_of)`:
+decide or compile the model over `domain`, build the metric's named roots
+on that circuit, and count them. The roots builders (`learnability_roots`,
+`safety_roots`, `robustness_roots`) read the circuit's `model_<l>` outputs
+and compile nothing of the model: confusion-cell conjunctions of ground
 truth and model decision, Pre conjoined with the (violated) post-condition,
-and the center's decision inside the region. All the roots of one metric go
-to the counter in one call; `exactml emit` encodes the same roots over the
-full domain.
-Robustness and safety compile the model over the property's box (the
-L-infinity region, or the bounding box of Pre) instead of the whole domain:
-no input outside the box can satisfy the root, so the counts are the same
-and the circuits are smaller. Before compiling, exact interval bounds on a
-network's logits may decide its decision on the whole box
-(`circuit.interval_label`); then nothing of the model is compiled or
-counted: robustness is the whole ball, and safety counts only Pre, with a
-constant Post. Those counts carry the method "interval". Derived ratios are
-exact rationals; a seeded Monte-Carlo baseline of the same quantities is
-available for side-by-side reporting.
+and the target label inside the region. `exactml emit` builds the same
+roots on a full-domain circuit, outside the seam.
+Robustness and safety count over the property's box (the L-infinity region,
+or the bounding box of Pre) instead of the whole domain: no input outside
+the box can satisfy the root, so the counts are the same and the circuits
+are smaller. Where exact interval bounds on a network's logits decide its
+label on the whole domain (`circuit.interval_label`), the model is not
+compiled and its `model_<l>` outputs are constants. A root that folds to a
+constant counts as the domain's size or 0, with the method "constant", and
+reaches no counter; the other roots go to the counter in one call, each
+wire once. Derived ratios are exact rationals; a seeded Monte-Carlo
+baseline of the same quantities is available for side-by-side reporting.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .models import InputDomain, Model, ModelError, eval_model
 from .predicates import (
     Not,
     Predicate,
+    RobustnessRegion,
     SafetyProperty,
     bounding_box,
     box_domain,
@@ -46,8 +49,6 @@ from .predicates import (
 # count_fn(circuit, {name: root}) -> {name: CountResult}; each count ranges
 # over the circuit's domain
 CountFn = Callable[[Circuit, Mapping[str, int]], dict[str, CountResult]]
-# a metric's circuit and its named roots
-Plan = tuple[Circuit, dict[str, int]]
 
 DEFAULT_SEED = 0
 
@@ -122,47 +123,73 @@ def tseitin_count_fn(count: Callable[[CnfFormula], CountResult]) -> CountFn:
     return lambda circuit, roots: {name: count(tseitin(circuit, root)) for name, root in roots.items()}
 
 
-def learnability_plan(
-    model: Model, truth_predicates: Mapping[int, Predicate], domain: InputDomain
-) -> Plan:
+def count_over(
+    model: Model,
+    domain: InputDomain,
+    roots_of: Callable[[Circuit], Mapping[str, int]],
+    count_fn: Optional[CountFn] = None,
+) -> dict[str, CountResult]:
+    """Count the roots that `roots_of` builds on the model's circuit over `domain`.
+
+    Where interval bounds decide the model's label on `domain`, nothing of
+    the model is compiled: its `model_<l>` outputs are constants. A root
+    that folds to a constant counts as the domain's size or 0, with method
+    "constant", and never reaches `count_fn`. Every other root goes to one
+    `count_fn` call, each wire once, under the first name on it. The
+    results come back in `roots` order.
+    """
+    label = interval_label(model, domain)
+    if label is None:
+        circuit = compile_model(model, domain)
+    else:
+        circuit = Circuit(domain)
+        for l in range(model.num_labels):
+            circuit.set_output(f"model_{l}", circuit.const(l == label))
+    roots = roots_of(circuit)
+    first: dict[int, str] = {}  # each wire to count -> the first name on it
+    for name, wire in roots.items():
+        if circuit.const_value(wire) is None:
+            first.setdefault(wire, name)
+    count_fn = count_fn or bdd.count_roots
+    counted = count_fn(circuit, {name: wire for wire, name in first.items()}) if first else {}
+    size = domain.size()
+    return {
+        name: counted[first[wire]] if wire in first
+        else CountResult(size if circuit.const_value(wire) else 0, "constant", {}, False)
+        for name, wire in roots.items()
+    }
+
+
+def learnability_roots(
+    circuit: Circuit, truth_predicates: Mapping[int, Predicate]
+) -> dict[str, int]:
     """The confusion cells `tp:L`, `fp:L`, `tn:L`, `fn:L` of every label L."""
-    labels = range(model.num_labels)
-    if sorted(truth_predicates) != list(labels):
-        raise ModelError(
-            f"need one truth predicate per label {list(labels)}, got {sorted(truth_predicates)}"
-        )
-    circuit = compile_model(model, domain)
+    labels = sorted(truth_predicates)
     for l in labels:
         compile_predicate(circuit, truth_predicates[l], f"truth_{l}")
-    return circuit, {
+    return {
         f"{kind}:{l}": compose_metric(circuit, l, kind) for l in labels for kind in METRIC_KINDS
     }
 
 
-def safety_plan(model: Model, prop: SafetyProperty, domain: InputDomain) -> Plan:
+def safety_roots(circuit: Circuit, prop: SafetyProperty) -> dict[str, int]:
     """`pre`, and Pre conjoined with Post (`sat`) and with its negation (`viol`)."""
-    circuit = compile_model(model, domain)
     pre = compile_predicate(circuit, prop.pre, "pre")
     post = circuit.or_all([circuit.output(f"model_{l}") for l in sorted(prop.allowed)])
-    return circuit, {
+    return {
         "pre": pre,
         "sat": circuit.and_(pre, post),
         "viol": circuit.and_(pre, circuit.not_(post)),
     }
 
 
-def robustness_plan(model: Model, center: Sequence[int], epsilon: int, domain: InputDomain) -> Plan:
-    """`robustness`: the center's decision inside the L-inf region.
+def robustness_roots(circuit: Circuit, target: int, region: RobustnessRegion) -> dict[str, int]:
+    """`robustness`: the target label inside the L-inf region.
 
     Over the region's own box every interval spans its feature, so the
     region constraint adds no gate there.
     """
-    target = eval_model(model, center, domain)
-    reg = region(center, epsilon, domain)
-    circuit = compile_model(model, domain)
-    return circuit, {
-        "robustness": constrain_region(circuit, circuit.output(f"model_{target}"), reg)
-    }
+    return {"robustness": constrain_region(circuit, circuit.output(f"model_{target}"), region)}
 
 
 def learnability(
@@ -172,13 +199,19 @@ def learnability(
     count_fn: Optional[CountFn] = None,
 ) -> MetricsReport:
     """TP/FP/TN/FN over the whole domain for every label, plus derived ratios."""
-    circuit, roots = learnability_plan(model, truth_predicates, domain)
-    results = (count_fn or bdd.count_roots)(circuit, roots)
+    labels = range(model.num_labels)
+    if sorted(truth_predicates) != list(labels):
+        raise ModelError(
+            f"need one truth predicate per label {list(labels)}, got {sorted(truth_predicates)}"
+        )
+    results = count_over(
+        model, domain, lambda circuit: learnability_roots(circuit, truth_predicates), count_fn
+    )
 
     size = domain.size()
     gaps = []
     per_label = []
-    for l in range(model.num_labels):
+    for l in labels:
         cells = {}
         for kind in METRIC_KINDS:
             result = results[f"{kind}:{l}"]
@@ -205,8 +238,7 @@ def safety(
     """Counts of Pre-inputs on which the decision does / does not meet Post.
 
     Counts range over the bounding box of Pre; an empty box is vacuous
-    without compiling anything, and a box on which the decision is
-    interval-decided compiles only Pre.
+    without compiling anything.
     """
     for label in prop.allowed:
         if not (0 <= label < model.num_labels):
@@ -214,18 +246,9 @@ def safety(
     intervals = bounding_box(prop.pre, domain)
     if intervals is None:
         return SafetyReport(0, 0, 0, None, True)
-    box = box_domain(domain, intervals)
-    count_fn = count_fn or bdd.count_roots
-    label = interval_label(model, box)
-    if label is None:
-        results = count_fn(*safety_plan(model, prop, box))
-    else:
-        # Post is constant over the box: sat is pre or nothing, viol the other
-        circuit = Circuit(box)
-        pre = count_fn(circuit, {"pre": compile_predicate(circuit, prop.pre)})["pre"]
-        none = CountResult(0, "interval", {}, False)
-        sat, viol = (pre, none) if label in prop.allowed else (none, pre)
-        results = {"pre": pre, "sat": sat, "viol": viol}
+    results = count_over(
+        model, box_domain(domain, intervals), lambda circuit: safety_roots(circuit, prop), count_fn
+    )
 
     gaps = [f"{name}: budget exhausted" for name, r in results.items() if r.exhausted]
     pre_size, sat, viol = (results[name].count for name in ("pre", "sat", "viol"))
@@ -246,18 +269,16 @@ def robustness(
     """Fraction of the L-inf ball around `center` classified like the center.
 
     The model is compiled over the ball itself, so its circuit reads only
-    the bits that vary inside the ball; it is not compiled at all when the
-    decision is interval-decided on the ball.
+    the bits that vary inside the ball.
     """
     target = eval_model(model, center, domain)
     reg = region(center, epsilon, domain)
-    ball = box_domain(domain, reg.intervals)
-    if interval_label(model, ball) is not None:
-        # the center lies in the ball, so the decided label is the target
-        result = CountResult(reg.size(), "interval", {}, False)
-    else:
-        circuit, roots = robustness_plan(model, center, epsilon, ball)
-        result = (count_fn or bdd.count_roots)(circuit, roots)["robustness"]
+    result = count_over(
+        model,
+        box_domain(domain, reg.intervals),
+        lambda circuit: robustness_roots(circuit, target, reg),
+        count_fn,
+    )["robustness"]
     if result.exhausted:
         return RobustnessReport(
             target, reg.size(), None, None, tuple(center), epsilon,

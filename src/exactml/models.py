@@ -110,13 +110,6 @@ def load_domain(doc) -> InputDomain:
     return InputDomain(tuple(feats))
 
 
-def domain_to_document(domain: InputDomain) -> dict:
-    return {
-        "format_version": 1,
-        "features": [{"name": f.name, "lo": f.lo, "hi": f.hi} for f in domain.features],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Decision trees
 # ---------------------------------------------------------------------------
@@ -209,29 +202,6 @@ def _check_tree_shape(nodes: Sequence[Node], root: int) -> None:
         raise ModelError(f"node {unreachable[0]} unreachable from root")
 
 
-def tree_to_document(tree: DecisionTree) -> dict:
-    nodes = []
-    for node in tree.nodes:
-        if isinstance(node, Leaf):
-            nodes.append({"leaf": node.label})
-        else:
-            nodes.append(
-                {
-                    "feature": node.feature,
-                    "threshold": node.threshold,
-                    "left": node.left,
-                    "right": node.right,
-                }
-            )
-    return {
-        "format_version": 1,
-        "kind": "decision_tree",
-        "num_labels": tree.num_labels,
-        "root": tree.root,
-        "nodes": nodes,
-    }
-
-
 def eval_tree(tree: DecisionTree, point: Sequence[int], domain: InputDomain) -> int:
     domain.check_point(point)
     node = tree.nodes[tree.root]
@@ -312,23 +282,6 @@ def load_network(doc, domain: InputDomain) -> QuantizedNetwork:
     if layers[-1].activation != "none":
         raise ModelError("final layer must have activation 'none'")
     return QuantizedNetwork(input_width, tuple(layers))
-
-
-def network_to_document(net: QuantizedNetwork) -> dict:
-    return {
-        "format_version": 1,
-        "kind": "quantized_network",
-        "input_width": net.input_width,
-        "layers": [
-            {
-                "weights": [list(row) for row in layer.weights],
-                "biases": list(layer.biases),
-                "activation": layer.activation,
-                "post_shift": layer.post_shift,
-            }
-            for layer in net.layers
-        ],
-    }
 
 
 def eval_network(net: QuantizedNetwork, point: Sequence[int], domain: InputDomain) -> int:

@@ -129,14 +129,6 @@ def validate_predicate(pred: Predicate, domain: InputDomain) -> None:
                 )
 
 
-def eval_predicate(pred: Predicate, point: Sequence[int], domain: InputDomain | None = None) -> bool:
-    """Evaluate a predicate on a concrete input vector."""
-    if domain is not None:
-        domain.check_point(point)
-        validate_predicate(pred, domain)
-    return pred.evaluate(point)
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -538,9 +530,6 @@ class RobustnessRegion:
 
     def points(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(lo, hi + 1) for lo, hi in self.intervals))
-
-    def contains(self, point: Sequence[int]) -> bool:
-        return all(lo <= v <= hi for (lo, hi), v in zip(self.intervals, point))
 
 
 def region(center: Sequence[int], epsilon: int, domain: InputDomain) -> RobustnessRegion:

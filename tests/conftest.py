@@ -6,8 +6,9 @@ from dataclasses import dataclass
 import pytest
 
 import exactml.bdd
-from exactml.models import InputDomain, load_domain, load_network, load_tree
-from exactml.predicates import And, CmpConst, Not, Or, Predicate
+from exactml.circuit import Circuit
+from exactml.models import InputDomain, Leaf, load_domain, load_network, load_tree
+from exactml.predicates import And, CmpConst, Not, Or, Predicate, validate_predicate
 
 
 def make_domain(ranges, prefix="f"):
@@ -84,6 +85,101 @@ def constant_tree_doc(label, num_labels=2):
         "root": 0,
         "nodes": [{"leaf": label}],
     }
+
+
+# ---------------------------------------------------------------------------
+# Model documents, point evaluation and registered bundles
+# ---------------------------------------------------------------------------
+
+def domain_to_document(domain):
+    return {
+        "format_version": 1,
+        "features": [{"name": f.name, "lo": f.lo, "hi": f.hi} for f in domain.features],
+    }
+
+
+def tree_to_document(tree):
+    nodes = []
+    for node in tree.nodes:
+        if isinstance(node, Leaf):
+            nodes.append({"leaf": node.label})
+        else:
+            nodes.append(
+                {
+                    "feature": node.feature,
+                    "threshold": node.threshold,
+                    "left": node.left,
+                    "right": node.right,
+                }
+            )
+    return {
+        "format_version": 1,
+        "kind": "decision_tree",
+        "num_labels": tree.num_labels,
+        "root": tree.root,
+        "nodes": nodes,
+    }
+
+
+def network_to_document(net):
+    return {
+        "format_version": 1,
+        "kind": "quantized_network",
+        "input_width": net.input_width,
+        "layers": [
+            {
+                "weights": [list(row) for row in layer.weights],
+                "biases": list(layer.biases),
+                "activation": layer.activation,
+                "post_shift": layer.post_shift,
+            }
+            for layer in net.layers
+        ],
+    }
+
+
+def eval_predicate(pred, point, domain=None):
+    """Evaluate a predicate on a concrete input vector."""
+    if domain is not None:
+        domain.check_point(point)
+        validate_predicate(pred, domain)
+    return pred.evaluate(point)
+
+
+def in_region(region, point):
+    return all(lo <= v <= hi for (lo, hi), v in zip(region.intervals, point))
+
+
+def simulate_outputs(circuit, point):
+    """The value of every named output of `circuit` at `point`."""
+    values = circuit.simulate(point)
+    return {name: values[w] for name, w in circuit.outputs.items()}
+
+
+def bundle_value(bundle, values):
+    """A bundle's two's-complement value, given the value of every wire."""
+    v = 0
+    for i, b in enumerate(bundle.bits):
+        if values[b]:
+            v |= 1 << i
+    if values[bundle.bits[-1]]:
+        v -= 1 << len(bundle.bits)
+    return v
+
+
+@pytest.fixture
+def registered_bundles(monkeypatch):
+    """Every `Bundle` that circuits register while the test runs, in order."""
+    bundles = []
+    register = Circuit._register
+
+    def recording(self, bits, lo, hi):
+        bundle = register(self, bits, lo, hi)
+        bundles.append(bundle)
+        return bundle
+
+    monkeypatch.setattr(Circuit, "_register", recording)
+    return bundles
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from exactml.counter import count_projected  # noqa: E402
 from exactml.metrics import (  # noqa: E402
     learnability,
     robustness,
-    robustness_plan,
+    robustness_roots,
     safety,
-    safety_plan,
+    safety_roots,
     tseitin_count_fn,
 )
 from exactml.models import eval_model  # noqa: E402
@@ -131,8 +131,9 @@ class TestDifferential:
             assert (report.pre_size, report.sat_count, report.viol_count) == (sat + viol, sat, viol)
             assert report.vacuous == (sat + viol == 0)
 
-    # `robustness` and `safety` skip the plan when interval bounds decide the
-    # network, as they do on most small boxes, so the plans are counted here
+    # `count_over` compiles no network that interval bounds decide, as they
+    # do on most small boxes, so the roots builders are counted here on
+    # compiled circuits
 
     @SETTINGS
     @given(feature_ranges, seeds, st.integers(0, 3), st.sampled_from(["tree", "network"]))
@@ -143,8 +144,10 @@ class TestDifferential:
         center = random_point(rng, dom)
         reg = region(center, eps, dom)
         _, correct = brute_robustness(model, center, reg, dom)
+        target = eval_model(model, center, dom)
         for over in (dom, box_domain(dom, reg.intervals)):
-            circ, roots = robustness_plan(model, center, eps, over)
+            circ = compile_model(model, over)
+            roots = robustness_roots(circ, target, reg)
             for counts in (count_roots(circ, roots), count_on_bdd(circ, roots)):
                 assert counts["robustness"].count == correct
 
@@ -158,7 +161,8 @@ class TestDifferential:
         sat, viol = _brute_safety(model, prop, dom)
         box = bounding_box(prop.pre, dom)
         for over in (dom,) if box is None else (dom, box_domain(dom, box)):
-            circ, roots = safety_plan(model, prop, over)
+            circ = compile_model(model, over)
+            roots = safety_roots(circ, prop)
             for counts in (count_roots(circ, roots), count_on_bdd(circ, roots)):
                 assert [counts[name].count for name in ("pre", "sat", "viol")] == [
                     sat + viol, sat, viol,

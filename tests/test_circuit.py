@@ -24,12 +24,14 @@ from exactml.predicates import (
 )
 
 from conftest import (
+    bundle_value,
     constant_tree_doc,
     make_domain,
     random_network,
     random_point,
     random_predicate,
     random_tree,
+    simulate_outputs,
 )
 
 
@@ -56,7 +58,7 @@ class TestCompileTree:
     def test_xor_tree_exhaustive(self, bits2_domain, xor_tree):
         c = compile_tree(xor_tree, bits2_domain)
         for pt in enumerate_domain(bits2_domain):
-            outs = c.simulate_outputs(pt)
+            outs = simulate_outputs(c, pt)
             assert outs[f"model_{eval_tree(xor_tree, pt, bits2_domain)}"] is True
 
     def test_threshold_folding_out_of_range(self):
@@ -82,7 +84,7 @@ class TestCompileNetwork:
         )
         c = compile_network(net, dom)
         for pt in enumerate_domain(dom):
-            outs = c.simulate_outputs(pt)
+            outs = simulate_outputs(c, pt)
             assert outs["model_0"] == (pt[0] >= pt[1])
 
     def test_forced_tie_is_constant_label_zero(self):
@@ -104,7 +106,7 @@ class TestCompileNetwork:
             net = random_network(rng, dom, hidden=(3,), num_labels=3, weight_range=3)
             c = compile_network(net, dom)
             for pt in enumerate_domain(dom):
-                outs = c.simulate_outputs(pt)
+                outs = simulate_outputs(c, pt)
                 lbl = eval_network(net, pt, dom)
                 assert outs[f"model_{lbl}"] is True
                 assert sum(outs.values()) == 1
@@ -117,10 +119,10 @@ class TestCompileNetwork:
         c = compile_network(net, dom)
         for low in range(1 << 12):
             pt = tuple((low >> k) & 1 for k in range(12)) + (0, 1, 0, 1)
-            assert c.simulate_outputs(pt)[f"model_{eval_network(net, pt, dom)}"]
+            assert simulate_outputs(c, pt)[f"model_{eval_network(net, pt, dom)}"]
         for _ in range(1000):
             pt = random_point(rng, dom)
-            outs = c.simulate_outputs(pt)
+            outs = simulate_outputs(c, pt)
             assert outs[f"model_{eval_network(net, pt, dom)}"]
             assert sum(outs.values()) == 1
 
@@ -136,7 +138,7 @@ class TestCompileNetwork:
         )
         c = compile_network(net, dom)
         for pt in enumerate_domain(dom):
-            assert c.simulate_outputs(pt)[f"model_{eval_network(net, pt, dom)}"]
+            assert simulate_outputs(c, pt)[f"model_{eval_network(net, pt, dom)}"]
 
     def test_width_overflow(self):
         dom = make_domain([(0, 255)] * 2)
@@ -147,17 +149,17 @@ class TestCompileNetwork:
         with pytest.raises(WidthOverflowError, match="width overflow"):
             compile_network(net, dom)
 
-    def test_interval_bounds_sound_under_fuzzing(self):
+    def test_interval_bounds_sound_under_fuzzing(self, registered_bundles):
         rng = random.Random(9)
         dom = make_domain([(-4, 11), (0, 6)])
         net = random_network(rng, dom, hidden=(3, 2), num_labels=2, weight_range=3)
         c = compile_network(net, dom)
-        assert c.bundles
+        assert registered_bundles
         for _ in range(300):
             pt = random_point(rng, dom)
             values = c.simulate(pt)
-            for bundle in c.bundles:
-                v = c.bundle_value(bundle, values)
+            for bundle in registered_bundles:
+                v = bundle_value(bundle, values)
                 assert bundle.lo <= v <= bundle.hi
 
 
@@ -315,14 +317,14 @@ class TestPartialEvaluate:
         pe = partial_evaluate(c, {})
         assert pe.num_input_bits == c.num_input_bits
         for pt in enumerate_domain(bits2_domain):
-            assert c.simulate_outputs(pt) == pe.simulate_outputs(pt)
+            assert simulate_outputs(c, pt) == simulate_outputs(pe, pt)
 
     def test_xor_with_f0_fixed_is_negation(self, bits2_domain, xor_tree):
         c = compile_tree(xor_tree, bits2_domain)
         pe = partial_evaluate(c, {0: 1})
         # over remaining f1: model_1 == not f1
         for f1 in (0, 1):
-            outs = pe.simulate_outputs((1, f1))
+            outs = simulate_outputs(pe, (1, f1))
             assert outs["model_1"] == (f1 == 0)
 
     def test_semantics_preserved_on_network(self):
@@ -332,7 +334,7 @@ class TestPartialEvaluate:
         c = compile_network(net, dom)
         pe = partial_evaluate(c, {1: 5})
         for pt in enumerate_domain(pe.domain):
-            assert pe.simulate_outputs(pt) == c.simulate_outputs(pt)
+            assert simulate_outputs(pe, pt) == simulate_outputs(c, pt)
 
     def test_value_out_of_range(self, bits2_domain, xor_tree):
         c = compile_tree(xor_tree, bits2_domain)
@@ -358,7 +360,7 @@ class TestOneHot:
             model = make()
             c = compile_model(model, dom)
             for pt in enumerate_domain(dom):
-                outs = c.simulate_outputs(pt)
+                outs = simulate_outputs(c, pt)
                 assert sum(outs.values()) == 1
                 assert outs[f"model_{eval_model(model, pt, dom)}"]
 

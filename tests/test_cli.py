@@ -8,17 +8,19 @@ from exactml.cli import main
 from exactml.cnf import parse_dimacs
 from exactml.counter import count_projected
 from exactml.metrics import binary_truth
-from exactml.models import domain_to_document, network_to_document, tree_to_document
 from exactml.oracle import brute_count_predicate
 from exactml.predicates import bounding_box, parse_predicate
 
 from conftest import (
     XOR_TREE_DOC,
     constant_tree_doc,
+    domain_to_document,
     make_domain,
+    network_to_document,
     random_network,
     random_tree,
     reflexive_tree_doc,
+    tree_to_document,
 )
 
 
@@ -313,6 +315,23 @@ class TestEmitCountsLikeMetrics:
             assert count_projected(parse_dimacs(out.read_text())).count == count, formula
 
 
+def _two_feature_net(tmp_path):
+    """The CLI arguments of a 2-feature quantized net and a ground-truth predicate file."""
+    (tmp_path / "net-domain.json").write_text(json.dumps(domain_to_document(
+        make_domain([(0, 15), (-8, 7)], prefix="x")
+    )))
+    (tmp_path / "net.json").write_text(json.dumps(
+        {"format_version": 1, "kind": "quantized_network", "input_width": 2,
+         "layers": [{"weights": [[3, -2], [-1, 2]], "biases": [1, -2],
+                     "activation": "relu", "post_shift": 1},
+                    {"weights": [[2, -1], [-1, 3]], "biases": [0, 1],
+                     "activation": "none", "post_shift": 0}]}
+    ))
+    (tmp_path / "truth.pred").write_text("x0 >= 4 && x1 <= 2\n")
+    return ["--domain", tmp_path / "net-domain.json", "--model", tmp_path / "net.json",
+            "--property", tmp_path / "truth.pred"]
+
+
 class TestOracleCommand:
     def test_diff_against_matching_report(self, workdir):
         report = workdir / "report.json"
@@ -339,6 +358,21 @@ class TestOracleCommand:
                     "--diff", report, "--out", workdir / "oracle.json"])
         assert code == 3
         assert "mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset, code", [(0, 0), (1, 3)], ids=["agrees", "off-by-one"])
+    def test_diff_against_a_gap_report(self, tmp_path, capsys, offset, code):
+        args = _two_feature_net(tmp_path)
+        report = tmp_path / "gap.json"
+        assert run(["learnability", *args, "--budget", "3", "--out", report]) == 2
+        doc = json.loads(report.read_text())
+        assert doc["gaps"] and doc["labels"][0]["tp"] is None
+        assert run(["oracle", *args, "--diff", report, "--out", tmp_path / "oracle.json"]) == 0
+        # finish one cell, at the oracle's count or one above it
+        oracle_doc = json.loads((tmp_path / "oracle.json").read_text())
+        doc["labels"][0]["tp"] = oracle_doc["counts"]["0"]["tp"] + offset
+        report.write_text(json.dumps(doc))
+        assert run(["oracle", *args, "--diff", report, "--out", tmp_path / "oracle.json"]) == code
+        assert ("mismatch at label 0 tp" in capsys.readouterr().err) == bool(offset)
 
     def test_domain_over_cap(self, workdir, capsys):
         code = run(["oracle", "--domain", "graph5",
@@ -373,7 +407,9 @@ class TestExternalBackend:
                     "--backend", f"external:{stub} {{file}}", "--out", out])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert all(doc["labels"][l][kind] == 64
+        # the tree is its property, so fp:1 and fn:1 fold to 0 and reach no counter
+        folded = {(1, "fp"): 0, (1, "fn"): 0}
+        assert all(doc["labels"][l][kind] == folded.get((l, kind), 64)
                    for l in (0, 1) for kind in ("tp", "fp", "tn", "fn"))
 
     @pytest.mark.parametrize("script, stderr", [

@@ -13,10 +13,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from exactml.circuit import Circuit, interval_label, logit_bounds, network_logits  # noqa: E402
-from exactml.models import eval_model, load_network, network_to_document  # noqa: E402
+from exactml.models import eval_model, load_network  # noqa: E402
 from exactml.oracle import enumerate_domain  # noqa: E402
 
-from conftest import make_domain, random_network, random_tree  # noqa: E402
+from conftest import make_domain, network_to_document, random_network, random_tree  # noqa: E402
 
 feature_ranges = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(0, 5)).map(lambda t: (t[0], t[0] + t[1])),

@@ -5,10 +5,11 @@ import pytest
 
 import exactml.metrics
 from exactml.bdd import count_roots
-from exactml.circuit import interval_label
+from exactml.circuit import WidthOverflowError, compile_model, interval_label
 from exactml.counter import CountResult
 from exactml.metrics import (
     binary_truth,
+    count_over,
     learnability,
     metrics_to_document,
     render_fraction,
@@ -211,12 +212,27 @@ class TestRobustness:
             assert report.correct_count == correct
 
 
+@pytest.fixture
+def dom():
+    return make_domain([(0, 15), (0, 15)])
+
+
+@pytest.fixture
+def net(dom):
+    """Label 0 iff f0 >= f1: undecided on `dom`, decided on many boxes in it."""
+    return load_network(
+        {"layers": [{"weights": [[1, -1], [0, 0]], "biases": [0, 0], "activation": "none"}]},
+        dom,
+    )
+
+
 def _never(circuit, roots):
     raise AssertionError(f"counted {sorted(roots)}")
 
 
 def _pre_only(circuit, roots):
-    if set(roots) != {"pre"} or any(name.startswith("model_") for name in circuit.outputs):
+    decision = [wire for name, wire in circuit.outputs.items() if name.startswith("model_")]
+    if set(roots) != {"pre"} or any(circuit.const_value(wire) is None for wire in decision):
         raise AssertionError(f"counted {sorted(roots)} on a circuit with the network")
     return count_roots(circuit, roots)
 
@@ -225,22 +241,11 @@ class TestIntervalDecided:
     """A decision that interval bounds decide is counted without the network.
 
     The net decides label 0 iff f0 >= f1; both reports must equal those of
-    the plan path, which the patched `interval_label` forces.
+    the compiled path, which the patched `interval_label` forces.
     """
 
-    @pytest.fixture
-    def dom(self):
-        return make_domain([(0, 15), (0, 15)])
-
-    @pytest.fixture
-    def net(self, dom):
-        return load_network(
-            {"layers": [{"weights": [[1, -1], [0, 0]], "biases": [0, 0], "activation": "none"}]},
-            dom,
-        )
-
     @staticmethod
-    def _plan_path(monkeypatch, metric, *args):
+    def _compiled_path(monkeypatch, metric, *args):
         with monkeypatch.context() as patch:
             patch.setattr(exactml.metrics, "interval_label", lambda model, domain: None)
             return metric(*args)
@@ -250,7 +255,7 @@ class TestIntervalDecided:
         assert interval_label(net, ball) == 0
         report = robustness(net, (12, 2), 2, dom, count_fn=_never)
         assert (report.correct_count, report.robustness) == (25, 1)
-        assert report == self._plan_path(monkeypatch, robustness, net, (12, 2), 2, dom)
+        assert report == self._compiled_path(monkeypatch, robustness, net, (12, 2), 2, dom)
 
     @pytest.mark.parametrize("allowed, counts", [({0}, (25, 25, 0)), ({1}, (25, 0, 25))])
     def test_safety(self, monkeypatch, dom, net, allowed, counts):
@@ -259,7 +264,7 @@ class TestIntervalDecided:
         )
         report = safety(net, prop, dom, count_fn=_pre_only)
         assert (report.pre_size, report.sat_count, report.viol_count) == counts
-        assert report == self._plan_path(monkeypatch, safety, net, prop, dom)
+        assert report == self._compiled_path(monkeypatch, safety, net, prop, dom)
 
     def test_an_open_decision_still_compiles_the_network(self, dom, net):
         prop = SafetyProperty(parse_predicate("f0 >= 10", dom), frozenset({0}))
@@ -269,11 +274,91 @@ class TestIntervalDecided:
             robustness(net, (12, 12), 1, dom, count_fn=_never)
 
     def test_an_exhausted_pre_leaves_the_constant_count(self, dom, net):
-        prop = SafetyProperty(parse_predicate("f0 >= 10 && f1 <= 4", dom), frozenset({0}))
+        # a Pre that is its own bounding box would fold to a constant there
+        prop = SafetyProperty(
+            parse_predicate("f0 >= 10 && f1 <= 4 && f0 != 12", dom), frozenset({0})
+        )
         exhausted = {"pre": CountResult(None, "table", {}, True)}
         report = safety(net, prop, dom, count_fn=lambda circuit, roots: exhausted)
         assert (report.pre_size, report.sat_count, report.viol_count) == (None, None, 0)
         assert report.gaps == ("pre: budget exhausted", "sat: budget exhausted")
+
+
+def _equals_oracle(report, model, truth, dom):
+    want = brute_learnability(model, truth, dom).counts
+    return all(
+        getattr(m, kind) == want[(m.label, kind)]
+        for m in report.labels
+        for kind in ("tp", "fp", "tn", "fn")
+    )
+
+
+class TestCountOver:
+    """`count_over`: constants never reach the counter, and each wire reaches it once."""
+
+    @staticmethod
+    def _recording(calls, exhaust=()):
+        def count_fn(circuit, roots):
+            calls.append(list(roots))
+            results = count_roots(circuit, roots)
+            for name in exhaust:
+                results[name] = CountResult(None, "table", {}, True)
+            return results
+        return count_fn
+
+    def test_a_constant_root_never_reaches_the_counter(self, dom, net):
+        def roots_of(circuit):
+            return {"all": circuit.const(True), "none": circuit.const(False),
+                    "model": circuit.output("model_0")}
+
+        calls = []
+        results = count_over(net, dom, roots_of, self._recording(calls))
+        assert calls == [["model"]]
+        assert results["all"] == CountResult(256, "constant", {}, False)
+        assert results["none"] == CountResult(0, "constant", {}, False)
+        assert results["model"].count == 136
+        constants = count_over(net, dom, lambda c: {"all": c.const(True)}, _never)
+        assert constants["all"].count == 256
+
+    def test_roots_on_one_wire_reach_the_counter_once(self, dom, net):
+        # model_1 is not model_0 and truth_0 is not truth_1, so the 8 cells are 4 wires
+        truth = binary_truth(parse_predicate("f0 <= 7", dom))
+        calls = []
+        report = learnability(net, truth, dom, count_fn=self._recording(calls))
+        assert calls == [["tp:0", "fp:0", "tn:0", "fn:0"]]
+        assert _equals_oracle(report, net, truth, dom)
+
+    def test_an_exhausted_shared_wire_is_a_gap_under_every_name(self, dom, net):
+        truth = binary_truth(parse_predicate("f0 <= 7", dom))
+        report = learnability(net, truth, dom, count_fn=self._recording([], exhaust=("tp:0",)))
+        assert report.gaps == ("label 0 tp: budget exhausted", "label 1 tn: budget exhausted")
+        assert (report.labels[0].tp, report.labels[1].tn) == (None, None)
+        assert report.labels[0].fp is not None
+
+    def test_results_come_back_in_roots_order(self, dom, net):
+        def roots_of(circuit):
+            model = circuit.output("model_0")
+            return {"b": model, "const": circuit.const(False), "a": circuit.not_(model),
+                    "c": model}
+
+        def reversed_counts(circuit, roots):
+            return dict(reversed(count_roots(circuit, roots).items()))
+
+        results = count_over(net, dom, roots_of, reversed_counts)
+        assert list(results) == ["b", "const", "a", "c"]
+        assert [r.count for r in results.values()] == [136, 0, 120, 136]
+
+    def test_learnability_of_a_net_too_wide_to_compile(self):
+        # interval bounds decide label 0 on the domain, so nothing is compiled
+        dom = make_domain([(1, 15), (1, 15)])
+        doc = {"input_width": 2,
+               "layers": [{"weights": [[2**62, 2**62], [1, 1]], "biases": [0, 0],
+                           "activation": "none", "post_shift": 0}]}
+        net = load_network(doc, dom)
+        with pytest.raises(WidthOverflowError):
+            compile_model(net, dom)
+        truth = binary_truth(parse_predicate("f0 <= f1", dom))
+        assert _equals_oracle(learnability(net, truth, dom), net, truth, dom)
 
 
 class TestStatisticalBaseline:

@@ -4,18 +4,24 @@ import pytest
 
 from exactml.models import (
     ModelError,
-    domain_to_document,
     eval_network,
     eval_tree,
     load_domain,
     load_network,
     load_tree,
-    network_to_document,
-    tree_to_document,
 )
 from exactml.oracle import enumerate_domain
 
-from conftest import XOR_TREE_DOC, constant_tree_doc, make_domain, random_network, random_tree
+from conftest import (
+    XOR_TREE_DOC,
+    constant_tree_doc,
+    domain_to_document,
+    make_domain,
+    network_to_document,
+    random_network,
+    random_tree,
+    tree_to_document,
+)
 
 
 class TestDomain:

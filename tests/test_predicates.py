@@ -8,14 +8,13 @@ from exactml.predicates import (
     CmpConst,
     PredicateError,
     builtin_graph_property,
-    eval_predicate,
     graph_domain,
     load_safety_property,
     parse_predicate,
     region,
 )
 
-from conftest import make_domain
+from conftest import eval_predicate, in_region, make_domain
 
 # Oracle-derived satisfying counts over all 2^(n*n) adjacency matrices.
 # Cross-checked against closed forms where they exist: reflexive/irreflexive
@@ -203,7 +202,7 @@ class TestRegion:
         for center in [(0, 3, 0), (7, 5, 0), (4, 4, 0)]:
             for eps in (0, 1, 2, 9):
                 reg = region(center, eps, dom)
-                members = [pt for pt in enumerate_domain(dom) if reg.contains(pt)]
+                members = [pt for pt in enumerate_domain(dom) if in_region(reg, pt)]
                 assert len(members) == reg.size()
                 assert sorted(members) == sorted(reg.points())
 
