@@ -147,10 +147,11 @@ def _truth_predicates(args, domain, n_labels):
     return metrics_mod.binary_truth(pred)
 
 
-def _maybe_baseline(args, doc, model, domain, **kwargs) -> None:
+def _maybe_baseline(args, doc, report, model, domain, **kwargs) -> None:
     if args.samples:
         est = metrics_mod.statistical_baseline(
-            model, domain, n_samples=args.samples, seed=args.seed, **kwargs
+            model, domain, n_samples=args.samples, seed=args.seed,
+            decided_label=report.decided_label, **kwargs
         )
         doc["statistical_baseline"] = {
             "n_samples": args.samples,
@@ -167,7 +168,7 @@ def cmd_learnability(args) -> int:
     report = metrics_mod.learnability(model, truth, domain, count_fn=count_fn)
     doc = metrics_mod.metrics_to_document(report)
     _maybe_baseline(
-        args, doc, model, domain, kind="learnability_accuracy", truth_predicates=truth
+        args, doc, report, model, domain, kind="learnability_accuracy", truth_predicates=truth
     )
     _write_output(doc, args.out)
     return EXIT_BUDGET if report.gaps else EXIT_OK
@@ -193,7 +194,7 @@ def cmd_safety(args) -> int:
     count_fn = _make_count_fn(args.backend, args.budget, args.dialect)
     report = metrics_mod.safety(model, prop, domain, count_fn=count_fn)
     doc = metrics_mod.safety_to_document(report)
-    _maybe_baseline(args, doc, model, domain, kind="safety_accuracy", prop=prop)
+    _maybe_baseline(args, doc, report, model, domain, kind="safety_accuracy", prop=prop)
     _write_output(doc, args.out)
     return EXIT_BUDGET if report.gaps else EXIT_OK
 
@@ -215,7 +216,7 @@ def cmd_robustness(args) -> int:
     report = metrics_mod.robustness(model, center, args.epsilon, domain, count_fn=count_fn)
     doc = metrics_mod.robustness_to_document(report)
     _maybe_baseline(
-        args, doc, model, domain, kind="robustness", center=center, epsilon=args.epsilon
+        args, doc, report, model, domain, kind="robustness", center=center, epsilon=args.epsilon
     )
     _write_output(doc, args.out)
     return EXIT_BUDGET if report.gaps else EXIT_OK
@@ -276,6 +277,13 @@ def cmd_oracle(args) -> int:
     domain = _load_domain(args.domain, args.nodes)
     model = _load_model(args.model, domain)
     truth = _truth_predicates(args, domain, model.num_labels)
+    prior = None
+    if args.diff:
+        prior = _read_json(args.diff)
+        kind = prior.get("report") if isinstance(prior, dict) else None
+        if kind != "learnability":
+            raise CliError(f"--diff takes a learnability report, got report kind {kind!r} "
+                           f"from {args.diff}")
     try:
         report = oracle.brute_learnability(model, truth, domain, cap=args.cap)
     except oracle.OracleCapError as exc:
@@ -293,8 +301,7 @@ def cmd_oracle(args) -> int:
         "fingerprint": report.fingerprint,
     }
     _write_output(doc, args.out)
-    if args.diff:
-        prior = _read_json(args.diff)
+    if prior is not None:
         for entry in prior.get("labels", []):
             label = entry["label"]
             for kind in ("tp", "fp", "tn", "fn"):

@@ -18,12 +18,16 @@ constant counts as the domain's size or 0, with the method "constant", and
 reaches no counter; the other roots go to the counter in one call, each
 wire once. Derived ratios are exact rationals; a seeded Monte-Carlo
 baseline of the same quantities is available for side-by-side reporting.
+`count_over` also returns the label it decided, which each report carries
+as `decided_label` for the baseline: there the label stands in for the
+model, so a decided region costs no model evaluation and gives the same
+estimate.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
@@ -35,7 +39,7 @@ from .circuit import (
 )
 from .cnf import CnfFormula, tseitin
 from .counter import CountResult
-from .models import InputDomain, Model, ModelError, eval_model
+from .models import InputDomain, Model, ModelError, eval_model, eval_unchecked
 from .predicates import (
     Not,
     Predicate,
@@ -69,12 +73,17 @@ class LabelMetrics:
         return None not in (self.tp, self.fp, self.tn, self.fn)
 
 
+# Every report's `decided_label` is the label that interval bounds proved on
+# the whole region it counts over, or None. It is for the statistical
+# baseline: no document writes it, and reports that differ only in it are equal.
+
 @dataclass
 class MetricsReport:
     domain_size: int
     labels: tuple[LabelMetrics, ...]
     gaps: tuple[str, ...] = ()
     macro_f1: Optional[Fraction] = None
+    decided_label: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass
@@ -85,6 +94,7 @@ class SafetyReport:
     accuracy: Optional[Fraction]
     vacuous: bool
     gaps: tuple[str, ...] = ()
+    decided_label: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass
@@ -96,6 +106,7 @@ class RobustnessReport:
     center: tuple[int, ...]
     epsilon: int
     gaps: tuple[str, ...] = ()
+    decided_label: Optional[int] = field(default=None, compare=False)
 
 
 def _derive(label: int, tp, fp, tn, fn, domain_size: int) -> LabelMetrics:
@@ -128,15 +139,15 @@ def count_over(
     domain: InputDomain,
     roots_of: Callable[[Circuit], Mapping[str, int]],
     count_fn: Optional[CountFn] = None,
-) -> dict[str, CountResult]:
+) -> tuple[dict[str, CountResult], Optional[int]]:
     """Count the roots that `roots_of` builds on the model's circuit over `domain`.
 
     Where interval bounds decide the model's label on `domain`, nothing of
     the model is compiled: its `model_<l>` outputs are constants. A root
     that folds to a constant counts as the domain's size or 0, with method
     "constant", and never reaches `count_fn`. Every other root goes to one
-    `count_fn` call, each wire once, under the first name on it. The
-    results come back in `roots` order.
+    `count_fn` call, each wire once, under the first name on it. Returns the
+    results, in `roots` order, and the decided label (None if open).
     """
     label = interval_label(model, domain)
     if label is None:
@@ -153,11 +164,12 @@ def count_over(
     count_fn = count_fn or bdd.count_roots
     counted = count_fn(circuit, {name: wire for wire, name in first.items()}) if first else {}
     size = domain.size()
-    return {
+    results = {
         name: counted[first[wire]] if wire in first
         else CountResult(size if circuit.const_value(wire) else 0, "constant", {}, False)
         for name, wire in roots.items()
     }
+    return results, label
 
 
 def learnability_roots(
@@ -204,7 +216,7 @@ def learnability(
         raise ModelError(
             f"need one truth predicate per label {list(labels)}, got {sorted(truth_predicates)}"
         )
-    results = count_over(
+    results, decided = count_over(
         model, domain, lambda circuit: learnability_roots(circuit, truth_predicates), count_fn
     )
 
@@ -226,7 +238,7 @@ def learnability(
     f1s = [m.f1 for m in per_label]
     if all(f is not None for f in f1s):
         macro = sum(f1s, Fraction(0)) / len(f1s)
-    return MetricsReport(size, tuple(per_label), tuple(gaps), macro)
+    return MetricsReport(size, tuple(per_label), tuple(gaps), macro, decided_label=decided)
 
 
 def safety(
@@ -246,7 +258,7 @@ def safety(
     intervals = bounding_box(prop.pre, domain)
     if intervals is None:
         return SafetyReport(0, 0, 0, None, True)
-    results = count_over(
+    results, decided = count_over(
         model, box_domain(domain, intervals), lambda circuit: safety_roots(circuit, prop), count_fn
     )
 
@@ -256,7 +268,9 @@ def safety(
     accuracy = None
     if not vacuous and sat is not None and viol is not None and sat + viol:
         accuracy = Fraction(sat, sat + viol)
-    return SafetyReport(pre_size, sat, viol, accuracy, vacuous, tuple(gaps))
+    return SafetyReport(
+        pre_size, sat, viol, accuracy, vacuous, tuple(gaps), decided_label=decided
+    )
 
 
 def robustness(
@@ -273,12 +287,13 @@ def robustness(
     """
     target = eval_model(model, center, domain)
     reg = region(center, epsilon, domain)
-    result = count_over(
+    results, decided = count_over(
         model,
         box_domain(domain, reg.intervals),
         lambda circuit: robustness_roots(circuit, target, reg),
         count_fn,
-    )["robustness"]
+    )
+    result = results["robustness"]
     if result.exhausted:
         return RobustnessReport(
             target, reg.size(), None, None, tuple(center), epsilon,
@@ -291,6 +306,7 @@ def robustness(
         Fraction(result.count, reg.size()),
         tuple(center),
         epsilon,
+        decided_label=decided,
     )
 
 
@@ -318,6 +334,7 @@ def statistical_baseline(
     prop: Optional[SafetyProperty] = None,
     center: Optional[Sequence[int]] = None,
     epsilon: Optional[int] = None,
+    decided_label: Optional[int] = None,
 ) -> Optional[Fraction]:
     """Seeded Monte-Carlo estimate of one exact metric.
 
@@ -326,7 +343,20 @@ def statistical_baseline(
     Sampling without replacement with n_samples covering the population is an
     exhaustive pass and reproduces the exact value. Returns None when no
     sample is scored (safety scores only the samples that satisfy Pre).
+
+    `decided_label` is the `decided_label` of the metric's report: the label
+    proved on the whole domain, the Pre box or the robustness ball. It stands
+    in for the model on every sample, which draws and scores the same
+    samples to the same estimate. A decided ball is all hits, so it draws
+    none. Samples are built from the domain, so only the center is checked.
     """
+    if decided_label is None:
+        def label_of(point):
+            return eval_unchecked(model, point)
+    else:
+        def label_of(point):
+            return decided_label
+
     # each kind picks a population and a per-point outcome: True, False, or
     # None for a point it does not score
     population = domain
@@ -335,15 +365,18 @@ def statistical_baseline(
             raise ValueError("learnability baseline needs truth_predicates")
 
         def outcome(point):
-            return truth_predicates[eval_model(model, point, domain)].evaluate(point)
+            return truth_predicates[label_of(point)].evaluate(point)
     elif kind == "robustness":
         if center is None or epsilon is None:
             raise ValueError("robustness baseline needs center and epsilon")
-        population = box_domain(domain, region(center, epsilon, domain).intervals)
-        target = eval_model(model, center, domain)
+        ball = region(center, epsilon, domain)  # checks the center
+        if decided_label is not None and n_samples > 0:
+            return Fraction(1)  # every point of the ball takes the center's label
+        population = box_domain(domain, ball.intervals)
+        target = label_of(center)
 
         def outcome(point):
-            return eval_model(model, point, domain) == target
+            return label_of(point) == target
     elif kind == "safety_accuracy":
         if prop is None:
             raise ValueError("safety baseline needs prop")
@@ -351,7 +384,7 @@ def statistical_baseline(
         def outcome(point):
             if not prop.pre.evaluate(point):
                 return None
-            return eval_model(model, point, domain) in prop.allowed
+            return label_of(point) in prop.allowed
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
 

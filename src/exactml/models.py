@@ -202,8 +202,7 @@ def _check_tree_shape(nodes: Sequence[Node], root: int) -> None:
         raise ModelError(f"node {unreachable[0]} unreachable from root")
 
 
-def eval_tree(tree: DecisionTree, point: Sequence[int], domain: InputDomain) -> int:
-    domain.check_point(point)
+def _tree_label(tree: DecisionTree, point: Sequence[int]) -> int:
     node = tree.nodes[tree.root]
     while isinstance(node, Internal):
         node = tree.nodes[node.left if point[node.feature] <= node.threshold else node.right]
@@ -284,8 +283,7 @@ def load_network(doc, domain: InputDomain) -> QuantizedNetwork:
     return QuantizedNetwork(input_width, tuple(layers))
 
 
-def eval_network(net: QuantizedNetwork, point: Sequence[int], domain: InputDomain) -> int:
-    domain.check_point(point)
+def _network_label(net: QuantizedNetwork, point: Sequence[int]) -> int:
     acts: Sequence[int] = list(point)
     for layer in net.layers:
         out = []
@@ -307,9 +305,15 @@ Model = Union[DecisionTree, QuantizedNetwork]
 
 
 def eval_model(model: Model, point: Sequence[int], domain: InputDomain) -> int:
+    domain.check_point(point)
+    return eval_unchecked(model, point)
+
+
+def eval_unchecked(model: Model, point: Sequence[int]) -> int:
+    """`eval_model` without the domain check, for points already known to lie in it."""
     if isinstance(model, DecisionTree):
-        return eval_tree(model, point, domain)
-    return eval_network(model, point, domain)
+        return _tree_label(model, point)
+    return _network_label(model, point)
 
 
 def load_model(doc, domain: InputDomain) -> Model:

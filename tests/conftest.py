@@ -241,6 +241,21 @@ def random_network(rng, domain, hidden=(2,), num_labels=2, weight_range=2):
     return load_network({"input_width": len(domain.features), "layers": layers}, domain)
 
 
+def varied_network(rng, domain):
+    """A random net with 0-2 hidden layers, either activation and shifts 0-2."""
+    net = random_network(
+        rng, domain,
+        hidden=rng.choice(((), (2,), (3, 2))),
+        num_labels=rng.choice((2, 3)),
+        weight_range=rng.choice((1, 3, 7)),
+    )
+    doc = network_to_document(net)
+    for layer in doc["layers"][:-1]:
+        layer["activation"] = rng.choice(("relu", "none"))
+        layer["post_shift"] = rng.randint(0, 2)
+    return load_network(doc, domain)
+
+
 def random_predicate(rng, domain, depth=2) -> Predicate:
     if depth == 0 or rng.random() < 0.4:
         feat = rng.randrange(len(domain.features))

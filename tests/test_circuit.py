@@ -13,7 +13,7 @@ from exactml.circuit import (
     constrain_region,
     partial_evaluate,
 )
-from exactml.models import eval_model, eval_network, eval_tree, load_network, load_tree
+from exactml.models import eval_model, load_network, load_tree
 from exactml.oracle import enumerate_domain
 from exactml.predicates import (
     Const,
@@ -59,7 +59,7 @@ class TestCompileTree:
         c = compile_tree(xor_tree, bits2_domain)
         for pt in enumerate_domain(bits2_domain):
             outs = simulate_outputs(c, pt)
-            assert outs[f"model_{eval_tree(xor_tree, pt, bits2_domain)}"] is True
+            assert outs[f"model_{eval_model(xor_tree, pt, bits2_domain)}"] is True
 
     def test_threshold_folding_out_of_range(self):
         dom = make_domain([(0, 5)])
@@ -107,7 +107,7 @@ class TestCompileNetwork:
             c = compile_network(net, dom)
             for pt in enumerate_domain(dom):
                 outs = simulate_outputs(c, pt)
-                lbl = eval_network(net, pt, dom)
+                lbl = eval_model(net, pt, dom)
                 assert outs[f"model_{lbl}"] is True
                 assert sum(outs.values()) == 1
 
@@ -119,11 +119,11 @@ class TestCompileNetwork:
         c = compile_network(net, dom)
         for low in range(1 << 12):
             pt = tuple((low >> k) & 1 for k in range(12)) + (0, 1, 0, 1)
-            assert simulate_outputs(c, pt)[f"model_{eval_network(net, pt, dom)}"]
+            assert simulate_outputs(c, pt)[f"model_{eval_model(net, pt, dom)}"]
         for _ in range(1000):
             pt = random_point(rng, dom)
             outs = simulate_outputs(c, pt)
-            assert outs[f"model_{eval_network(net, pt, dom)}"]
+            assert outs[f"model_{eval_model(net, pt, dom)}"]
             assert sum(outs.values()) == 1
 
     def test_post_shift_and_relu_order(self):
@@ -138,7 +138,7 @@ class TestCompileNetwork:
         )
         c = compile_network(net, dom)
         for pt in enumerate_domain(dom):
-            assert simulate_outputs(c, pt)[f"model_{eval_network(net, pt, dom)}"]
+            assert simulate_outputs(c, pt)[f"model_{eval_model(net, pt, dom)}"]
 
     def test_width_overflow(self):
         dom = make_domain([(0, 255)] * 2)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import exactml.metrics
 from exactml.cli import main
 from exactml.cnf import parse_dimacs
 from exactml.counter import count_projected
@@ -374,6 +375,17 @@ class TestOracleCommand:
         assert run(["oracle", *args, "--diff", report, "--out", tmp_path / "oracle.json"]) == code
         assert ("mismatch at label 0 tp" in capsys.readouterr().err) == bool(offset)
 
+    @pytest.mark.parametrize("command", [
+        ["safety", "--pre", "x0 >= 4 && x1 <= 2", "--post", "0"],
+        ["robustness", "--center", "2,3", "--epsilon", "2"],
+    ], ids=["safety", "robustness"])
+    def test_diff_against_a_report_of_another_kind(self, tmp_path, capsys, command):
+        args = _two_feature_net(tmp_path)
+        report = tmp_path / "report.json"
+        assert run([*command, *args, "--out", report]) == 0
+        assert run(["oracle", *args, "--diff", report, "--out", tmp_path / "oracle.json"]) == 1
+        assert f"report kind '{command[0]}'" in capsys.readouterr().err
+
     def test_domain_over_cap(self, workdir, capsys):
         code = run(["oracle", "--domain", "graph5",
                     "--model", workdir / "reflexive_tree.json",
@@ -458,6 +470,68 @@ class TestDeterminism:
                  "--formula", "fn:1", "--out", out])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestDecidedBaseline:
+    """The label that interval bounds decide changes no byte of a report.
+
+    Each query runs as is and with `metrics.interval_label` patched to None,
+    which compiles the net and scores every baseline sample on it.
+    """
+
+    QUERIES = {
+        "learnability": ["learnability"],
+        "learnability-decided": ["learnability", "--model", "const-net.json"],
+        "safety": ["safety", "--pre", "x0 >= 4 && x0 != 9", "--post", "0"],
+        "safety-decided": ["safety", "--pre", "x0 >= 4 && x1 <= 2 && x0 != 9", "--post", "0"],
+        "robustness": ["robustness", "--center", "2,3", "--epsilon", "2"],
+        "robustness-decided": ["robustness", "--center", "12,-5", "--epsilon", "2"],
+    }
+
+    @pytest.mark.parametrize("with_replacement", [True, False], ids=["replace", "no-replace"])
+    @pytest.mark.parametrize("samples", ["50", "500"])
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_reports_are_byte_identical(self, tmp_path, monkeypatch, query, samples,
+                                        with_replacement):
+        # a label-1 net everywhere: interval bounds decide it on the whole domain
+        (tmp_path / "const-net.json").write_text(json.dumps(
+            {"format_version": 1, "kind": "quantized_network", "input_width": 2,
+             "layers": [{"weights": [[0, 0], [0, 0]], "biases": [0, 1], "activation": "none"}]}
+        ))
+        monkeypatch.chdir(tmp_path)
+        args = [*_two_feature_net(tmp_path), *self.QUERIES[query][1:], "--samples", samples]
+        if not with_replacement:
+            baseline = exactml.metrics.statistical_baseline
+            monkeypatch.setattr(exactml.metrics, "statistical_baseline",
+                                lambda *a, **kw: baseline(*a, **kw, with_replacement=False))
+        decided = []
+        interval_label = exactml.metrics.interval_label
+
+        def spy(model, domain):
+            decided.append(interval_label(model, domain))
+            return decided[-1]
+
+        outs = []
+        for patched in (spy, lambda model, domain: None):
+            monkeypatch.setattr(exactml.metrics, "interval_label", patched)
+            out = tmp_path / f"{len(outs)}.json"
+            assert run([self.QUERIES[query][0], *args, "--out", out]) == 0
+            outs.append(out.read_bytes())
+        assert (decided != [None]) == query.endswith("-decided")
+        assert b'"statistical_baseline"' in outs[0]
+        assert outs[0] == outs[1]
+
+    def test_a_decided_ball_scores_no_sample(self, tmp_path, monkeypatch):
+        calls = []
+        unchecked = exactml.metrics.eval_unchecked
+        monkeypatch.setattr(exactml.metrics, "eval_unchecked",
+                            lambda *a: calls.append(a) or unchecked(*a))
+        args = [*_two_feature_net(tmp_path), "--epsilon", "2", "--samples", "50"]
+        for center, evaluations in (("12,-5", 0), ("2,3", 51)):
+            calls.clear()
+            assert run(["robustness", *args, "--center", center,
+                        "--out", tmp_path / "rob.json"]) == 0
+            assert len(calls) == evaluations
 
 
 class TestGoldenDimacs:

@@ -16,7 +16,7 @@ from exactml.circuit import Circuit, interval_label, logit_bounds, network_logit
 from exactml.models import eval_model, load_network  # noqa: E402
 from exactml.oracle import enumerate_domain  # noqa: E402
 
-from conftest import make_domain, network_to_document, random_network, random_tree  # noqa: E402
+from conftest import make_domain, random_tree, varied_network  # noqa: E402
 
 feature_ranges = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(0, 5)).map(lambda t: (t[0], t[0] + t[1])),
@@ -27,27 +27,12 @@ seeds = st.integers(0, 2**32 - 1)
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
-def _network(rng, dom):
-    """A random net with 0-2 hidden layers, either activation and shifts 0-2."""
-    net = random_network(
-        rng, dom,
-        hidden=rng.choice(((), (2,), (3, 2))),
-        num_labels=rng.choice((2, 3)),
-        weight_range=rng.choice((1, 3, 7)),
-    )
-    doc = network_to_document(net)
-    for layer in doc["layers"][:-1]:
-        layer["activation"] = rng.choice(("relu", "none"))
-        layer["post_shift"] = rng.randint(0, 2)
-    return load_network(doc, dom)
-
-
 @SETTINGS
 @given(feature_ranges, seeds)
 def test_a_decided_label_is_the_decision_on_every_point(ranges, seed):
     rng = random.Random(seed)
     dom = make_domain(ranges)
-    net = _network(rng, dom)
+    net = varied_network(rng, dom)
     label = interval_label(net, dom)
     if label is not None:
         assert all(eval_model(net, p, dom) == label for p in enumerate_domain(dom))
@@ -58,7 +43,7 @@ def test_a_decided_label_is_the_decision_on_every_point(ranges, seed):
 def test_logit_bounds_are_those_of_the_compiled_logits(ranges, seed):
     rng = random.Random(seed)
     dom = make_domain(ranges)
-    net = _network(rng, dom)
+    net = varied_network(rng, dom)
     logits = network_logits(Circuit(dom), net)
     assert [(b.lo, b.hi) for b in logits] == logit_bounds(net, dom)
 
@@ -68,7 +53,7 @@ def test_random_nets_on_small_boxes_are_both_decided_and_open():
     outcomes = set()
     for _ in range(60):
         dom = make_domain([(lo, lo + rng.randint(0, 3)) for lo in (rng.randint(-8, 8) for _ in range(2))])
-        outcomes.add(interval_label(_network(rng, dom), dom) is None)
+        outcomes.add(interval_label(varied_network(rng, dom), dom) is None)
     assert outcomes == {True, False}
 
 
@@ -84,7 +69,7 @@ def test_a_point_domain_decides_like_eval_model():
     rng = random.Random(11)
     for _ in range(50):
         dom = make_domain([(v, v) for v in (rng.randint(-8, 8) for _ in range(3))])
-        net = _network(rng, dom)
+        net = varied_network(rng, dom)
         assert interval_label(net, dom) == eval_model(net, next(enumerate_domain(dom)), dom)
 
 

@@ -254,8 +254,10 @@ class TestIntervalDecided:
         ball = box_domain(dom, region((12, 2), 2, dom).intervals)
         assert interval_label(net, ball) == 0
         report = robustness(net, (12, 2), 2, dom, count_fn=_never)
-        assert (report.correct_count, report.robustness) == (25, 1)
-        assert report == self._compiled_path(monkeypatch, robustness, net, (12, 2), 2, dom)
+        assert (report.correct_count, report.robustness, report.decided_label) == (25, 1, 0)
+        compiled = self._compiled_path(monkeypatch, robustness, net, (12, 2), 2, dom)
+        assert report == compiled and compiled.decided_label is None
+        assert robustness_to_document(report) == robustness_to_document(compiled)
 
     @pytest.mark.parametrize("allowed, counts", [({0}, (25, 25, 0)), ({1}, (25, 0, 25))])
     def test_safety(self, monkeypatch, dom, net, allowed, counts):
@@ -264,7 +266,10 @@ class TestIntervalDecided:
         )
         report = safety(net, prop, dom, count_fn=_pre_only)
         assert (report.pre_size, report.sat_count, report.viol_count) == counts
-        assert report == self._compiled_path(monkeypatch, safety, net, prop, dom)
+        assert report.decided_label == 0
+        compiled = self._compiled_path(monkeypatch, safety, net, prop, dom)
+        assert report == compiled and compiled.decided_label is None
+        assert safety_to_document(report) == safety_to_document(compiled)
 
     def test_an_open_decision_still_compiles_the_network(self, dom, net):
         prop = SafetyProperty(parse_predicate("f0 >= 10", dom), frozenset({0}))
@@ -272,6 +277,7 @@ class TestIntervalDecided:
             safety(net, prop, dom, count_fn=_pre_only)
         with pytest.raises(AssertionError, match="counted"):
             robustness(net, (12, 12), 1, dom, count_fn=_never)
+        assert robustness(net, (12, 12), 1, dom).decided_label is None
 
     def test_an_exhausted_pre_leaves_the_constant_count(self, dom, net):
         # a Pre that is its own bounding box would fold to a constant there
@@ -312,12 +318,12 @@ class TestCountOver:
                     "model": circuit.output("model_0")}
 
         calls = []
-        results = count_over(net, dom, roots_of, self._recording(calls))
-        assert calls == [["model"]]
+        results, label = count_over(net, dom, roots_of, self._recording(calls))
+        assert (calls, label) == ([["model"]], None)
         assert results["all"] == CountResult(256, "constant", {}, False)
         assert results["none"] == CountResult(0, "constant", {}, False)
         assert results["model"].count == 136
-        constants = count_over(net, dom, lambda c: {"all": c.const(True)}, _never)
+        constants, _ = count_over(net, dom, lambda c: {"all": c.const(True)}, _never)
         assert constants["all"].count == 256
 
     def test_roots_on_one_wire_reach_the_counter_once(self, dom, net):
@@ -344,7 +350,7 @@ class TestCountOver:
         def reversed_counts(circuit, roots):
             return dict(reversed(count_roots(circuit, roots).items()))
 
-        results = count_over(net, dom, roots_of, reversed_counts)
+        results, _ = count_over(net, dom, roots_of, reversed_counts)
         assert list(results) == ["b", "const", "a", "c"]
         assert [r.count for r in results.values()] == [136, 0, 120, 136]
 
@@ -358,7 +364,8 @@ class TestCountOver:
         with pytest.raises(WidthOverflowError):
             compile_model(net, dom)
         truth = binary_truth(parse_predicate("f0 <= f1", dom))
-        assert _equals_oracle(learnability(net, truth, dom), net, truth, dom)
+        report = learnability(net, truth, dom)
+        assert _equals_oracle(report, net, truth, dom) and report.decided_label == 0
 
 
 class TestStatisticalBaseline:
@@ -398,6 +405,29 @@ class TestStatisticalBaseline:
         )
         report = learnability(tree, truth, dom)
         assert est == report.labels[1].accuracy
+
+    def test_a_decided_ball_evaluates_the_model_nowhere(self, monkeypatch, dom, net):
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args):
+                calls.append(args)
+                return fn(*args)
+            return wrapper
+
+        for name in ("eval_model", "eval_unchecked"):
+            monkeypatch.setattr(exactml.metrics, name, counting(getattr(exactml.metrics, name)))
+        # 50 samples and the center where the ball is open
+        for center, label, evaluations in (((12, 2), 0, 0), ((12, 12), None, 51)):
+            report = robustness(net, center, 2, dom)
+            assert report.decided_label == label
+            calls.clear()
+            est = statistical_baseline(
+                net, dom, kind="robustness", n_samples=50, center=center, epsilon=2,
+                decided_label=report.decided_label,
+            )
+            assert len(calls) == evaluations
+            assert (est == 1) == (label is not None)
 
     def test_safety_accuracy_estimate(self, bits2_domain, xor_tree):
         prop = SafetyProperty(parse_predicate("true", bits2_domain), frozenset({0, 1}))

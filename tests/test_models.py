@@ -4,8 +4,7 @@ import pytest
 
 from exactml.models import (
     ModelError,
-    eval_network,
-    eval_tree,
+    eval_model,
     load_domain,
     load_network,
     load_tree,
@@ -61,11 +60,11 @@ class TestTree:
     def test_single_leaf_constant(self):
         dom = make_domain([(0, 1)])
         tree = load_tree(constant_tree_doc(0), dom)
-        assert eval_tree(tree, (0,), dom) == 0
-        assert eval_tree(tree, (1,), dom) == 0
+        assert eval_model(tree, (0,), dom) == 0
+        assert eval_model(tree, (1,), dom) == 0
         tree3 = load_tree(constant_tree_doc(3, num_labels=4), dom)
-        assert eval_tree(tree3, (0,), dom) == 3
-        assert eval_tree(tree3, (1,), dom) == 3
+        assert eval_model(tree3, (0,), dom) == 3
+        assert eval_model(tree3, (1,), dom) == 3
 
     def test_two_node_tree(self, bits2_domain):
         tree = load_tree(
@@ -74,8 +73,8 @@ class TestTree:
                        {"leaf": 1}, {"leaf": 0}]},
             bits2_domain,
         )
-        assert eval_tree(tree, (0, 0), bits2_domain) == 1
-        assert eval_tree(tree, (1, 0), bits2_domain) == 0
+        assert eval_model(tree, (0, 0), bits2_domain) == 1
+        assert eval_model(tree, (1, 0), bits2_domain) == 0
 
     def test_self_reference_is_cycle(self, bits2_domain):
         doc = {"num_labels": 2, "root": 0,
@@ -101,11 +100,11 @@ class TestTree:
     def test_xor_tree_all_inputs(self, bits2_domain, xor_tree):
         # hand oracle: label = f0 xor f1
         for pt in enumerate_domain(bits2_domain):
-            assert eval_tree(xor_tree, pt, bits2_domain) == pt[0] ^ pt[1]
+            assert eval_model(xor_tree, pt, bits2_domain) == pt[0] ^ pt[1]
 
     def test_out_of_domain_input(self, bits2_domain, xor_tree):
         with pytest.raises(ModelError, match="out of range"):
-            eval_tree(xor_tree, (0, 2), bits2_domain)
+            eval_model(xor_tree, (0, 2), bits2_domain)
 
 
 class TestNetwork:
@@ -116,8 +115,8 @@ class TestNetwork:
              "layers": [{"weights": [[1, 0], [0, 1]], "biases": [0, 0], "activation": "none", "post_shift": 0}]},
             dom,
         )
-        assert eval_network(net, (5, 3), dom) == 0
-        assert eval_network(net, (3, 5), dom) == 1
+        assert eval_model(net, (5, 3), dom) == 0
+        assert eval_model(net, (3, 5), dom) == 1
 
     def test_tie_breaks_to_lowest_label(self):
         dom = make_domain([(0, 255), (0, 255)])
@@ -126,7 +125,7 @@ class TestNetwork:
              "layers": [{"weights": [[1, 0], [0, 1]], "biases": [0, 0], "activation": "none", "post_shift": 0}]},
             dom,
         )
-        assert eval_network(net, (2, 2), dom) == 0
+        assert eval_model(net, (2, 2), dom) == 0
 
     def test_hand_arithmetic(self):
         dom = make_domain([(0, 7), (0, 7)])
@@ -136,7 +135,7 @@ class TestNetwork:
             dom,
         )
         # logits (0*1 + 7*-1, 0*-1 + 7*1) = (-7, 7)
-        assert eval_network(net, (0, 7), dom) == 1
+        assert eval_model(net, (0, 7), dom) == 1
 
     def test_post_shift_floors_toward_minus_inf(self):
         dom = make_domain([(0, 7)])
@@ -148,9 +147,9 @@ class TestNetwork:
             dom,
         )
         # input 1: logits (floor(-1/2), floor(-1/2)) = (-1, -1) -> tie -> 0
-        assert eval_network(net, (1,), dom) == 0
+        assert eval_model(net, (1,), dom) == 0
         # input 3: (floor(-3/2), -1) = (-2, -1) -> 1
-        assert eval_network(net, (3,), dom) == 1
+        assert eval_model(net, (3,), dom) == 1
 
     def test_dimension_mismatch(self):
         dom = make_domain([(0, 1)] * 3)
@@ -220,5 +219,5 @@ class TestInvariants:
         dom2 = load_domain(domain_to_document(dom))
         assert dom2 == dom
         for pt in enumerate_domain(dom):
-            assert eval_tree(tree, pt, dom) == eval_tree(tree2, pt, dom)
-            assert eval_network(net, pt, dom) == eval_network(net2, pt, dom)
+            assert eval_model(tree, pt, dom) == eval_model(tree2, pt, dom)
+            assert eval_model(net, pt, dom) == eval_model(net2, pt, dom)
