@@ -16,7 +16,12 @@ Arithmetic (for networks and feature-to-feature comparisons) is two's
 complement with widths chosen from exact interval bounds, so overflow is
 impossible by construction. `logit_bounds` computes a network's logit
 bounds without building gates, so `interval_label` can decide its argmax
-on a box before anything is compiled.
+on a box before anything is compiled. `difference_label` decides it from
+bounds on the logit differences, carried as integer linear forms over the
+inputs. It keeps the correlation between logits that read the same hidden
+units, which per-logit intervals lose, so it decides boxes they leave open;
+it does not round hidden units to integers as they do, so the reverse also
+happens.
 """
 
 from __future__ import annotations
@@ -488,6 +493,78 @@ def interval_label(model: Model, domain: InputDomain) -> Optional[int]:
     bounds = logit_bounds(model, domain)
     for l, (lo, _) in enumerate(bounds):
         if all(hi < lo for _, hi in bounds[:l]) and all(hi <= lo for _, hi in bounds[l + 1:]):
+            return l
+    return None
+
+
+def _form_range(form: tuple, box: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The scaled min and max of a linear form (coefficients, constant, error lo, error hi)."""
+    coeffs, const, err_lo, err_hi = form
+    lo, hi = const + err_lo, const + err_hi
+    for c, (a, b) in zip(coeffs, box):
+        if c > 0:
+            lo, hi = lo + c * a, hi + c * b
+        elif c < 0:
+            lo, hi = lo + c * b, hi + c * a
+    return lo, hi
+
+
+def difference_label(model: Model, domain: InputDomain) -> Optional[int]:
+    """The label a network decides on every point of `domain`, if bounds on logit differences prove it.
+
+    Each unit is a linear form over the inputs plus an error interval, as in
+    ReluVal's symbolic intervals: a stably active ReLU keeps its form, a
+    stably inactive one is 0 and an unstable one the constant `[0, hi]`.
+    `>> s` divides the form by `2**s` and adds the floor's error
+    `[-(2**s - 1) / 2**s, 0]`. Every form of a layer is scaled by one
+    `2**scale`, the sum of the shifts so far, so all arithmetic is on
+    integers; units are integers, so their concrete bounds round inward.
+    Label l wins where `logit_l - logit_j` is at least 1 for every lower
+    label j and at least 0 for every higher one. None when the bounds leave
+    the decision open, and for trees.
+    """
+    if not isinstance(model, QuantizedNetwork):
+        return None
+    box = [(f.lo, f.hi) for f in domain.features]
+    n = len(box)
+    forms = [([int(i == k) for i in range(n)], 0, 0, 0) for k in range(n)]
+    scale = 0
+    for layer in model.layers:
+        bias_scale, scale = scale, scale + layer.post_shift
+        floor_error = ((1 << layer.post_shift) - 1) << bias_scale
+        out = []
+        for row, bias in zip(layer.weights, layer.biases):
+            coeffs, const, err_lo, err_hi = [0] * n, bias << bias_scale, -floor_error, 0
+            for w, (f_coeffs, f_const, f_lo, f_hi) in zip(row, forms):
+                if w:
+                    coeffs = [a + w * c for a, c in zip(coeffs, f_coeffs)]
+                    const += w * f_const
+                    if w > 0:
+                        err_lo, err_hi = err_lo + w * f_lo, err_hi + w * f_hi
+                    else:
+                        err_lo, err_hi = err_lo + w * f_hi, err_hi + w * f_lo
+            form = (coeffs, const, err_lo, err_hi)
+            if layer.activation == "relu":
+                lo, hi = _form_range(form, box)
+                lo, hi = -(-lo >> scale), hi >> scale
+                if hi <= 0:
+                    form = ([0] * n, 0, 0, 0)
+                elif lo < 0:
+                    form = ([0] * n, 0, 0, hi << scale)
+            out.append(form)
+        forms = out
+    for l, (coeffs, const, err_lo, err_hi) in enumerate(forms):
+        for j, (j_coeffs, j_const, j_lo, j_hi) in enumerate(forms):
+            if j == l:
+                continue
+            diff = (
+                [a - b for a, b in zip(coeffs, j_coeffs)],
+                const - j_const, err_lo - j_hi, err_hi - j_lo,
+            )
+            least = -(-_form_range(diff, box)[0] >> scale)
+            if least < (1 if j < l else 0):
+                break
+        else:
             return l
     return None
 

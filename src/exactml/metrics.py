@@ -12,16 +12,18 @@ Robustness and safety count over the property's box (the L-infinity region,
 or the bounding box of Pre) instead of the whole domain: no input outside
 the box can satisfy the root, so the counts are the same and the circuits
 are smaller. Where exact interval bounds on a network's logits decide its
-label on the whole domain (`circuit.interval_label`), the model is not
-compiled and its `model_<l>` outputs are constants. A root that folds to a
-constant counts as the domain's size or 0, with the method "constant", and
-reaches no counter; the other roots go to the counter in one call, each
-wire once. Derived ratios are exact rationals; a seeded Monte-Carlo
+label on the whole domain (`circuit.interval_label`), or, when they leave
+it open, bounds on the logit differences do (`circuit.difference_label`),
+the model is not compiled and its `model_<l>` outputs are constants. A
+root that folds to a constant counts as the domain's size or 0, with the
+method "constant", and reaches no counter; the other roots go to the
+counter in one call, each wire once. Derived ratios are exact rationals; a seeded Monte-Carlo
 baseline of the same quantities is available for side-by-side reporting.
 `count_over` also returns the label it decided, which each report carries
 as `decided_label` for the baseline: there the label stands in for the
 model, so a decided region costs no model evaluation and gives the same
-estimate.
+estimate. A report whose counts include one from an approximate external
+counter says so with `"approximate": true`; no other report has the key.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from . import bdd
 from .circuit import (
     METRIC_KINDS, Circuit, compile_model, compile_predicate, compose_metric, constrain_region,
-    interval_label,
+    difference_label, interval_label,
 )
 from .cnf import CnfFormula, tseitin
 from .counter import CountResult
@@ -73,9 +75,11 @@ class LabelMetrics:
         return None not in (self.tp, self.fp, self.tn, self.fn)
 
 
-# Every report's `decided_label` is the label that interval bounds proved on
-# the whole region it counts over, or None. It is for the statistical
-# baseline: no document writes it, and reports that differ only in it are equal.
+# Every report's `decided_label` is the label that bounds proved on the whole
+# region it counts over, or None. It is for the statistical baseline: no
+# document writes it, and reports that differ only in it are equal.
+# `approximate` is True when a count came from an approximate external
+# counter; only then does the document carry `"approximate": true`.
 
 @dataclass
 class MetricsReport:
@@ -84,6 +88,7 @@ class MetricsReport:
     gaps: tuple[str, ...] = ()
     macro_f1: Optional[Fraction] = None
     decided_label: Optional[int] = field(default=None, compare=False)
+    approximate: bool = False
 
 
 @dataclass
@@ -95,6 +100,7 @@ class SafetyReport:
     vacuous: bool
     gaps: tuple[str, ...] = ()
     decided_label: Optional[int] = field(default=None, compare=False)
+    approximate: bool = False
 
 
 @dataclass
@@ -107,6 +113,7 @@ class RobustnessReport:
     epsilon: int
     gaps: tuple[str, ...] = ()
     decided_label: Optional[int] = field(default=None, compare=False)
+    approximate: bool = False
 
 
 def _derive(label: int, tp, fp, tn, fn, domain_size: int) -> LabelMetrics:
@@ -129,6 +136,10 @@ def binary_truth(pred: Predicate) -> dict[int, Predicate]:
     return {1: pred, 0: Not(pred)}
 
 
+def _approximate(results: Mapping[str, CountResult]) -> bool:
+    return any(r.stats.get("tool") == "approximate" for r in results.values())
+
+
 def tseitin_count_fn(count: Callable[[CnfFormula], CountResult]) -> CountFn:
     """A CNF counter behind the CountFn signature: one Tseitin formula per root."""
     return lambda circuit, roots: {name: count(tseitin(circuit, root)) for name, root in roots.items()}
@@ -142,14 +153,17 @@ def count_over(
 ) -> tuple[dict[str, CountResult], Optional[int]]:
     """Count the roots that `roots_of` builds on the model's circuit over `domain`.
 
-    Where interval bounds decide the model's label on `domain`, nothing of
-    the model is compiled: its `model_<l>` outputs are constants. A root
-    that folds to a constant counts as the domain's size or 0, with method
-    "constant", and never reaches `count_fn`. Every other root goes to one
+    Where interval bounds, or else difference bounds, decide the model's
+    label on `domain`, nothing of the model is compiled: its `model_<l>`
+    outputs are constants. A root that folds to a constant counts as the
+    domain's size or 0, with method "constant", and never reaches
+    `count_fn`. Every other root goes to one
     `count_fn` call, each wire once, under the first name on it. Returns the
     results, in `roots` order, and the decided label (None if open).
     """
     label = interval_label(model, domain)
+    if label is None:
+        label = difference_label(model, domain)
     if label is None:
         circuit = compile_model(model, domain)
     else:
@@ -238,7 +252,10 @@ def learnability(
     f1s = [m.f1 for m in per_label]
     if all(f is not None for f in f1s):
         macro = sum(f1s, Fraction(0)) / len(f1s)
-    return MetricsReport(size, tuple(per_label), tuple(gaps), macro, decided_label=decided)
+    return MetricsReport(
+        size, tuple(per_label), tuple(gaps), macro, decided_label=decided,
+        approximate=_approximate(results),
+    )
 
 
 def safety(
@@ -269,7 +286,8 @@ def safety(
     if not vacuous and sat is not None and viol is not None and sat + viol:
         accuracy = Fraction(sat, sat + viol)
     return SafetyReport(
-        pre_size, sat, viol, accuracy, vacuous, tuple(gaps), decided_label=decided
+        pre_size, sat, viol, accuracy, vacuous, tuple(gaps), decided_label=decided,
+        approximate=_approximate(results),
     )
 
 
@@ -307,6 +325,7 @@ def robustness(
         tuple(center),
         epsilon,
         decided_label=decided,
+        approximate=_approximate(results),
     )
 
 
@@ -419,8 +438,14 @@ def render_fraction(value: Optional[Fraction]):
     return {"fraction": f"{value.numerator}/{value.denominator}", "decimal": text}
 
 
+def _mark_approximate(doc: dict, report) -> dict:
+    if report.approximate:
+        doc["approximate"] = True
+    return doc
+
+
 def metrics_to_document(report: MetricsReport) -> dict:
-    return {
+    return _mark_approximate({
         "format_version": 1,
         "report": "learnability",
         "domain_size": report.domain_size,
@@ -440,11 +465,11 @@ def metrics_to_document(report: MetricsReport) -> dict:
         ],
         "macro_f1": render_fraction(report.macro_f1),
         "gaps": list(report.gaps),
-    }
+    }, report)
 
 
 def safety_to_document(report: SafetyReport) -> dict:
-    return {
+    return _mark_approximate({
         "format_version": 1,
         "report": "safety",
         "pre_size": report.pre_size,
@@ -453,11 +478,11 @@ def safety_to_document(report: SafetyReport) -> dict:
         "accuracy": render_fraction(report.accuracy),
         "vacuous": report.vacuous,
         "gaps": list(report.gaps),
-    }
+    }, report)
 
 
 def robustness_to_document(report: RobustnessReport) -> dict:
-    return {
+    return _mark_approximate({
         "format_version": 1,
         "report": "robustness",
         "target_label": report.target_label,
@@ -467,4 +492,4 @@ def robustness_to_document(report: RobustnessReport) -> dict:
         "correct_count": report.correct_count,
         "robustness": render_fraction(report.robustness),
         "gaps": list(report.gaps),
-    }
+    }, report)

@@ -256,6 +256,21 @@ def varied_network(rng, domain):
     return load_network(doc, domain)
 
 
+# A net on x0 in [0, 15], x1 in [-8, 7] (`DIFFERENCE_NET_RANGES`). On the
+# robustness ball around (2, 3) with epsilon 2, interval bounds leave its
+# decision open and bounds on the logit difference decide label 1.
+DIFFERENCE_NET_RANGES = [(0, 15), (-8, 7)]
+DIFFERENCE_NET_DOC = {
+    "format_version": 1, "kind": "quantized_network", "input_width": 2,
+    "layers": [
+        {"weights": [[0, -1], [-2, -3], [1, 3]], "biases": [-4, 2, 3],
+         "activation": "relu", "post_shift": 1},
+        {"weights": [[2, 2, 1], [2, -2, 1]], "biases": [-2, 2],
+         "activation": "none", "post_shift": 0},
+    ],
+}
+
+
 def random_predicate(rng, domain, depth=2) -> Predicate:
     if depth == 0 or rng.random() < 0.4:
         feat = rng.randrange(len(domain.features))

@@ -15,9 +15,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from exactml.metrics import learnability, robustness, safety, statistical_baseline  # noqa: E402
+from exactml.models import load_network  # noqa: E402
 from exactml.predicates import SafetyProperty, parse_predicate  # noqa: E402
 
-from conftest import make_domain, random_point, truth_family, varied_network  # noqa: E402
+from conftest import (  # noqa: E402
+    DIFFERENCE_NET_DOC, DIFFERENCE_NET_RANGES, make_domain, random_point, truth_family,
+    varied_network,
+)
 
 feature_ranges = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(0, 5)).map(lambda t: (t[0], t[0] + t[1])),
@@ -81,3 +85,27 @@ def test_random_queries_of_every_kind_are_both_decided_and_open():
         for report, kwargs in _queries(rng, dom, rng.randint(0, 2))[1]:
             outcomes[kwargs["kind"]].add(report.decided_label is None)
     assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+
+
+@pytest.mark.parametrize("with_replacement", [True, False], ids=["replace", "no-replace"])
+@pytest.mark.parametrize("n_samples", [1, 7, 50])
+def test_a_label_from_difference_bounds_leaves_the_estimate_unchanged(n_samples, with_replacement):
+    dom = make_domain(DIFFERENCE_NET_RANGES, prefix="x")
+    net = load_network(DIFFERENCE_NET_DOC, dom)
+    # the robustness ball and the Pre box are the same box, which only
+    # difference bounds decide
+    prop = SafetyProperty(
+        parse_predicate("x0 <= 4 && x1 >= 1 && x1 <= 5 && x0 != 3", dom), frozenset({0})
+    )
+    queries = [
+        (robustness(net, (2, 3), 2, dom), {"kind": "robustness", "center": (2, 3), "epsilon": 2}),
+        (safety(net, prop, dom), {"kind": "safety_accuracy", "prop": prop}),
+    ]
+    for report, kwargs in queries:
+        assert report.decided_label == 1, kwargs["kind"]
+        estimates = [
+            statistical_baseline(net, dom, n_samples=n_samples, with_replacement=with_replacement,
+                                 decided_label=label, **kwargs)
+            for label in (1, None)
+        ]
+        assert estimates[0] == estimates[1], kwargs["kind"]

@@ -424,6 +424,26 @@ class TestExternalBackend:
         assert all(doc["labels"][l][kind] == folded.get((l, kind), 64)
                    for l in (0, 1) for kind in ("tp", "fp", "tn", "fn"))
 
+    @pytest.mark.parametrize("backend, center, marked", [
+        ("external-approx", "2,3", True),
+        ("external", "2,3", False),
+        ("external-approx", "12,-5", False),  # decided by bounds: no counter runs
+    ])
+    def test_only_an_approximate_count_marks_the_report(self, tmp_path, backend, center, marked):
+        stub = tmp_path / "stub.sh"
+        stub.write_text("#!/bin/sh\necho 's mc 7'\n")
+        stub.chmod(0o755)
+        out = tmp_path / "rob.json"
+        assert run(["robustness", *_two_feature_net(tmp_path), "--center", center,
+                    "--epsilon", "2", "--backend", f"{backend}:{stub} {{file}}",
+                    "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        assert doc.get("approximate") is (True if marked else None)
+        assert doc["correct_count"] == (7 if center == "2,3" else 25)
+        assert run(["robustness", *_two_feature_net(tmp_path), "--center", center,
+                    "--epsilon", "2", "--out", out]) == 0
+        assert "approximate" not in json.loads(out.read_text())
+
     @pytest.mark.parametrize("script, stderr", [
         ("import sys; sys.exit(3)", ""),
         ("import sys; sys.stderr.write('out of memory'); sys.exit(3)", "out of memory"),
@@ -473,10 +493,11 @@ class TestDeterminism:
 
 
 class TestDecidedBaseline:
-    """The label that interval bounds decide changes no byte of a report.
+    """The label that bounds decide changes no byte of a report.
 
-    Each query runs as is and with `metrics.interval_label` patched to None,
-    which compiles the net and scores every baseline sample on it.
+    Each query runs as is and with `metrics.interval_label` and
+    `metrics.difference_label` patched to None, which compiles the net and
+    scores every baseline sample on it.
     """
 
     QUERIES = {
@@ -505,19 +526,23 @@ class TestDecidedBaseline:
             monkeypatch.setattr(exactml.metrics, "statistical_baseline",
                                 lambda *a, **kw: baseline(*a, **kw, with_replacement=False))
         decided = []
-        interval_label = exactml.metrics.interval_label
 
-        def spy(model, domain):
-            decided.append(interval_label(model, domain))
-            return decided[-1]
+        def spy(decider):
+            def decide(model, domain):
+                decided.append(decider(model, domain))
+                return decided[-1]
+            return decide
 
+        deciders = ("interval_label", "difference_label")
         outs = []
-        for patched in (spy, lambda model, domain: None):
-            monkeypatch.setattr(exactml.metrics, "interval_label", patched)
+        for patched in ([spy(getattr(exactml.metrics, name)) for name in deciders],
+                        [lambda model, domain: None] * 2):
+            for name, decide in zip(deciders, patched):
+                monkeypatch.setattr(exactml.metrics, name, decide)
             out = tmp_path / f"{len(outs)}.json"
             assert run([self.QUERIES[query][0], *args, "--out", out]) == 0
             outs.append(out.read_bytes())
-        assert (decided != [None]) == query.endswith("-decided")
+        assert (decided[-1] is not None) == query.endswith("-decided")
         assert b'"statistical_baseline"' in outs[0]
         assert outs[0] == outs[1]
 

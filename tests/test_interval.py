@@ -1,6 +1,8 @@
-"""`circuit.interval_label`: sound, and bounded exactly like the compiled logits.
+"""The deciders `circuit.interval_label` and `circuit.difference_label`.
 
-Needs `hypothesis`; skipped where it is missing.
+Both are sound; interval bounds are exactly those of the compiled logits,
+and `metrics.count_over` decides wherever either one does. Needs
+`hypothesis`; skipped where it is missing.
 """
 
 import random
@@ -12,11 +14,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from exactml.circuit import Circuit, interval_label, logit_bounds, network_logits  # noqa: E402
+from exactml.circuit import (  # noqa: E402
+    Circuit, difference_label, interval_label, logit_bounds, network_logits,
+)
+from exactml.metrics import count_over, robustness  # noqa: E402
 from exactml.models import eval_model, load_network  # noqa: E402
 from exactml.oracle import enumerate_domain  # noqa: E402
+from exactml.predicates import box_domain, region  # noqa: E402
 
-from conftest import make_domain, random_tree, varied_network  # noqa: E402
+from conftest import (  # noqa: E402
+    DIFFERENCE_NET_DOC, DIFFERENCE_NET_RANGES, make_domain, random_tree, varied_network,
+)
 
 feature_ranges = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(0, 5)).map(lambda t: (t[0], t[0] + t[1])),
@@ -28,14 +36,50 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @SETTINGS
-@given(feature_ranges, seeds)
-def test_a_decided_label_is_the_decision_on_every_point(ranges, seed):
+@given(feature_ranges, seeds, st.sampled_from((interval_label, difference_label)))
+def test_a_decided_label_is_the_decision_on_every_point(ranges, seed, decider):
     rng = random.Random(seed)
     dom = make_domain(ranges)
     net = varied_network(rng, dom)
-    label = interval_label(net, dom)
+    label = decider(net, dom)
     if label is not None:
         assert all(eval_model(net, p, dom) == label for p in enumerate_domain(dom))
+
+
+@SETTINGS
+@given(feature_ranges, seeds)
+def test_count_over_decides_wherever_either_decider_does(ranges, seed):
+    rng = random.Random(seed)
+    dom = make_domain(ranges)
+    net = varied_network(rng, dom)
+    _, label = count_over(net, dom, lambda circuit: {})
+    for decider in (interval_label, difference_label):
+        if decider(net, dom) is not None:
+            assert label == decider(net, dom), decider.__name__
+
+
+def test_each_decider_decides_boxes_the_other_leaves_open():
+    rng = random.Random(2)
+    decided = set()
+    for _ in range(300):
+        dom = make_domain([(lo, lo + rng.randint(0, 5)) for lo in (rng.randint(-8, 8) for _ in range(2))])
+        net = varied_network(rng, dom)
+        decided.add((interval_label(net, dom) is None, difference_label(net, dom) is None))
+    assert {(True, False), (False, True)} <= decided
+
+
+def test_only_difference_bounds_decide_this_ball():
+    dom = make_domain(DIFFERENCE_NET_RANGES, prefix="x")
+    net = load_network(DIFFERENCE_NET_DOC, dom)
+    ball = box_domain(dom, region((2, 3), 2, dom).intervals)
+    assert (interval_label(net, ball), difference_label(net, ball)) == (None, 1)
+    assert {eval_model(net, p, dom) for p in enumerate_domain(ball)} == {1}
+
+    def never(circuit, roots):
+        raise AssertionError(f"counted {sorted(roots)}")
+
+    report = robustness(net, (2, 3), 2, dom, count_fn=never)
+    assert (report.correct_count, report.region_size, report.decided_label) == (25, 25, 1)
 
 
 @SETTINGS
@@ -62,7 +106,7 @@ def test_equal_constant_logits_go_to_the_lowest_label():
     net = load_network(
         {"layers": [{"weights": [[0], [0], [0]], "biases": [1, 5, 5], "activation": "none"}]}, dom
     )
-    assert interval_label(net, dom) == 1
+    assert interval_label(net, dom) == difference_label(net, dom) == 1
 
 
 def test_a_point_domain_decides_like_eval_model():
@@ -76,4 +120,4 @@ def test_a_point_domain_decides_like_eval_model():
 def test_trees_are_never_decided():
     dom = make_domain([(0, 3)])
     tree = random_tree(random.Random(1), dom, max_depth=0)
-    assert interval_label(tree, dom) is None
+    assert interval_label(tree, dom) is difference_label(tree, dom) is None

@@ -241,13 +241,15 @@ class TestIntervalDecided:
     """A decision that interval bounds decide is counted without the network.
 
     The net decides label 0 iff f0 >= f1; both reports must equal those of
-    the compiled path, which the patched `interval_label` forces.
+    the compiled path, which the patched `interval_label` and
+    `difference_label` force.
     """
 
     @staticmethod
     def _compiled_path(monkeypatch, metric, *args):
         with monkeypatch.context() as patch:
-            patch.setattr(exactml.metrics, "interval_label", lambda model, domain: None)
+            for decider in ("interval_label", "difference_label"):
+                patch.setattr(exactml.metrics, decider, lambda model, domain: None)
             return metric(*args)
 
     def test_robustness(self, monkeypatch, dom, net):
