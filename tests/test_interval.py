@@ -36,14 +36,16 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @SETTINGS
-@given(feature_ranges, seeds, st.sampled_from((interval_label, difference_label)))
-def test_a_decided_label_is_the_decision_on_every_point(ranges, seed, decider):
+@given(feature_ranges, seeds)
+def test_a_decided_label_is_the_decision_on_every_point(ranges, seed):
     rng = random.Random(seed)
     dom = make_domain(ranges)
     net = varied_network(rng, dom)
-    label = decider(net, dom)
-    if label is not None:
-        assert all(eval_model(net, p, dom) == label for p in enumerate_domain(dom))
+    labels = [eval_model(net, p, dom) for p in enumerate_domain(dom)]
+    for decider in (interval_label, difference_label):
+        label = decider(net, dom)
+        if label is not None:
+            assert all(l == label for l in labels), decider.__name__
 
 
 @SETTINGS
