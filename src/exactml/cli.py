@@ -262,8 +262,8 @@ def _build_formula(args, domain, model):
 def cmd_emit(args) -> int:
     domain = _load_domain(args.domain, args.nodes)
     model = _load_model(args.model, domain)
-    circ, root = _build_formula(args, domain, model)
-    formula = cnf_mod.tseitin(circ, root)
+    # no name keeps the circuit: it is freed before the text is formatted
+    formula = cnf_mod.tseitin(*_build_formula(args, domain, model))
     text = cnf_mod.emit_dimacs(formula, args.dialect)
     if args.out:
         Path(args.out).write_text(text)

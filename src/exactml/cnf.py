@@ -11,6 +11,7 @@ propagation alone, so projected counts equal input counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .circuit import Circuit
 
@@ -48,7 +49,10 @@ def tseitin(circuit: Circuit, root: int) -> CnfFormula:
     gates = circuit.gates
     targets = (root, circuit.domain_wire)
 
+    # each variable's two literals are made once and shared by all its
+    # clauses: a fresh `-a` per clause costs an int object each time
     var_of = list(range(1, n_inputs + 1)) + [0] * len(gates)
+    neg_of = [-v for v in var_of]
     clauses: list[tuple[int, ...]] = []
     add = clauses.append
     units = set()
@@ -57,33 +61,34 @@ def tseitin(circuit: Circuit, root: int) -> CnfFormula:
         if w < n_inputs:
             continue
         v += 1
+        nv = -v
         var_of[w] = v
+        neg_of[w] = nv
         gate = gates[w - n_inputs]
         op = gate[0]
         if op == "const":
-            unit = v if gate[1] else -v
+            unit = v if gate[1] else nv
             add((unit,))
             units.add(unit)
         elif op == "not":
-            a = var_of[gate[1]]
-            add((v, a))
-            add((-v, -a))
-        elif op == "and":
-            a, b = var_of[gate[1]], var_of[gate[2]]
-            add((-v, a))
-            add((-v, b))
-            add((v, -a, -b))
-        elif op == "or":
-            a, b = var_of[gate[1]], var_of[gate[2]]
-            add((v, -a))
-            add((v, -b))
-            add((-v, a, b))
-        else:  # xor
-            a, b = var_of[gate[1]], var_of[gate[2]]
-            add((-v, a, b))
-            add((-v, -a, -b))
-            add((v, a, -b))
-            add((v, -a, b))
+            add((v, var_of[gate[1]]))
+            add((nv, neg_of[gate[1]]))
+        else:
+            a, na = var_of[gate[1]], neg_of[gate[1]]
+            b, nb = var_of[gate[2]], neg_of[gate[2]]
+            if op == "and":
+                add((nv, a))
+                add((nv, b))
+                add((v, na, nb))
+            elif op == "or":
+                add((v, na))
+                add((v, nb))
+                add((nv, a, b))
+            else:  # xor
+                add((nv, a, b))
+                add((nv, na, nb))
+                add((v, a, nb))
+                add((v, na, b))
 
     for target in targets:
         lit = var_of[target]
@@ -101,8 +106,21 @@ def tseitin(circuit: Circuit, root: int) -> CnfFormula:
 DIALECTS = ("ind_comment", "pshow_comment")
 
 # "%d ... 0" for clauses of 1-4 literals, indexed by length; every Tseitin
-# clause fits, and longer ones (parsed foreign CNF) are joined literal by literal
+# clause fits, and a chunk with a longer one (parsed foreign CNF) is joined
+# literal by literal
 _CLAUSE_TEMPLATES = (None,) + tuple(" ".join(["%d"] * n) + " 0" for n in range(1, 5))
+_CHUNK_CLAUSES = 4096
+
+
+def _clause_chunks(clauses):
+    """The clause lines, `_CHUNK_CLAUSES` clauses to a string."""
+    templates = _CLAUSE_TEMPLATES
+    for i in range(0, len(clauses), _CHUNK_CLAUSES):
+        chunk = clauses[i : i + _CHUNK_CLAUSES]
+        if max(map(len, chunk)) <= 4:
+            yield "\n".join([templates[len(c)] for c in chunk]) % tuple(chain.from_iterable(chunk))
+        else:
+            yield "\n".join([" ".join(map(str, c)) + " 0" for c in chunk])
 
 
 def emit_dimacs(cnf: CnfFormula, dialect: str = "ind_comment") -> str:
@@ -120,12 +138,12 @@ def emit_dimacs(cnf: CnfFormula, dialect: str = "ind_comment") -> str:
     else:
         chunk = " ".join(str(v) for v in proj)
         lines.append(f"c p show {chunk} 0" if proj else "c p show 0")
-    templates = _CLAUSE_TEMPLATES
-    add = lines.append
-    for clause in cnf.clauses:
-        n = len(clause)
-        add(templates[n] % clause if n <= 4 else " ".join(map(str, clause)) + " 0")
-    return "\n".join(lines) + "\n"
+    # thousands of clauses to a string: one str object per clause would cost
+    # more in object headers than its text; the trailing "" ends the text with
+    # a newline without copying all of it once more
+    lines.extend(_clause_chunks(cnf.clauses))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -165,6 +183,8 @@ def parse_dimacs(text: str) -> CnfFormula:
             fields = stripped.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise DimacsError(f"line {lineno}: malformed header {stripped!r}")
+            if num_vars is not None:
+                raise DimacsError(f"line {lineno}: second 'p cnf' header {stripped!r}")
             try:
                 num_vars, declared_clauses = int(fields[2]), int(fields[3])
             except ValueError as exc:

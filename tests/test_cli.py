@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 
+import exactml.cnf
 import exactml.metrics
 from exactml.cli import main
 from exactml.cnf import parse_dimacs
@@ -595,6 +597,36 @@ class TestGoldenDimacs:
     def test_quantized_net(self, tmp_path, formula, dialect):
         digest = self._emit_digest(tmp_path, self._net_args(tmp_path), formula, dialect)
         assert digest == self.GOLDEN[f"net-{formula}-{dialect}"]
+
+    def test_literal_objects_are_shared(self, tmp_path, monkeypatch):
+        # each variable's two literals are one int object each, whatever the
+        # number of clauses that use them
+        formulas = []
+        tseitin = exactml.cnf.tseitin
+        monkeypatch.setattr(exactml.cnf, "tseitin",
+                            lambda *a: formulas.append(tseitin(*a)) or formulas[-1])
+        self._emit_digest(tmp_path, self._net_args(tmp_path), "viol", "ind_comment")
+        (f,) = formulas
+        assert len({id(lit) for clause in f.clauses for lit in clause}) <= 2 * f.num_vars
+
+    @pytest.mark.parametrize("formula", ["model:1", "viol"])
+    def test_the_circuit_is_freed_before_formatting(self, tmp_path, monkeypatch, formula):
+        circuits, freed = [], []
+        tseitin, emit_dimacs = exactml.cnf.tseitin, exactml.cnf.emit_dimacs
+
+        def keep_ref(circuit, root):
+            circuits.append(weakref.ref(circuit))
+            return tseitin(circuit, root)
+
+        def check_freed(cnf, dialect):
+            freed.append(circuits[-1]() is None)
+            return emit_dimacs(cnf, dialect)
+
+        monkeypatch.setattr(exactml.cnf, "tseitin", keep_ref)
+        monkeypatch.setattr(exactml.cnf, "emit_dimacs", check_freed)
+        digest = self._emit_digest(tmp_path, self._net_args(tmp_path), formula, "ind_comment")
+        assert digest == self.GOLDEN[f"net-{formula}-ind_comment"]
+        assert freed == [True]
 
     def test_graph3_tree(self, workdir):
         args = ["--domain", "graph3", "--model", workdir / "reflexive_tree.json",

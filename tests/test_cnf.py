@@ -148,6 +148,10 @@ class TestDimacs:
         with pytest.raises(DimacsError, match="unterminated"):
             parse_dimacs("p cnf 2 1\n1 -2\n")
 
+    def test_second_header(self):
+        with pytest.raises(DimacsError, match="line 3: second 'p cnf' header"):
+            parse_dimacs("p cnf 3 1\n1 0\np cnf 5 2\n-5 2 0\n")
+
     def test_multiline_clause(self):
         f = parse_dimacs("p cnf 3 1\n1 2\n3 0\n")
         assert f.clauses == ((1, 2, 3),)
@@ -197,3 +201,27 @@ class TestDimacsTemplates:
         pshow = emit_dimacs(f, "pshow_comment")
         assert pshow == self.FOREIGN.replace("c ind 1 2 3 0", "c p show 1 2 3 0")
         assert emit_dimacs(parse_dimacs(pshow), "pshow_comment") == pshow
+
+        # 10,000 clauses make three chunks of up to 4,096; lengths cycle through
+        # 1-4 before clause `long_from` and 1-7 from it on, so chunks take the
+        # template path only, the join fallback only, or one then the other
+        for long_from in (0, 6000, 10_000):
+            rng = random.Random(long_from)
+            lengths = [i % (4 if i < long_from else 7) + 1 for i in range(10_000)]
+            clauses = tuple(
+                tuple(rng.choice((-1, 1)) * rng.randint(1, 300) for _ in range(n)) for n in lengths
+            )
+            f = CnfFormula(300, clauses, frozenset(range(1, 13)))
+            body = "".join(" ".join(str(lit) for lit in c) + " 0\n" for c in clauses)
+            for dialect, projection in (
+                ("ind_comment", "c ind 1 2 3 4 5 6 7 8 9 10 0\nc ind 11 12 0\n"),
+                ("pshow_comment", "c p show 1 2 3 4 5 6 7 8 9 10 11 12 0\n"),
+            ):
+                text = emit_dimacs(f, dialect)
+                expected = f"p cnf 300 10000\n{projection}{body}"
+                # the first wrong line, not pytest's diff of two 10,000-line texts
+                wrong = next((i for i, pair in enumerate(zip(text.split("\n"), expected.split("\n")))
+                              if pair[0] != pair[1]), None)
+                assert wrong is None and len(text) == len(expected), (long_from, dialect, wrong)
+                g = parse_dimacs(text)
+                assert (g.num_vars, g.clauses, g.projection) == (f.num_vars, f.clauses, f.projection)
