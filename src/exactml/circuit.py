@@ -14,14 +14,11 @@ that its roots read through it, in ascending wire order.
 
 Arithmetic (for networks and feature-to-feature comparisons) is two's
 complement with widths chosen from exact interval bounds, so overflow is
-impossible by construction. `logit_bounds` computes a network's logit
-bounds without building gates, so `interval_label` can decide its argmax
-on a box before anything is compiled. `difference_label` decides it from
-bounds on the logit differences, carried as integer linear forms over the
-inputs. It keeps the correlation between logits that read the same hidden
-units, which per-logit intervals lose, so it decides boxes they leave open;
-it does not round hidden units to integers as they do, so the reverse also
-happens.
+impossible by construction. `bound_label` decides a network's argmax on
+a box before anything is compiled, in one pass over its layers that
+carries each unit's integer interval (the bounds the compiled bundles
+have) next to an integer linear form over the inputs, each narrowing the
+other.
 """
 
 from __future__ import annotations
@@ -462,107 +459,83 @@ def compile_network(net: QuantizedNetwork, domain: InputDomain) -> Circuit:
     return c
 
 
-def logit_bounds(net: QuantizedNetwork, domain: InputDomain) -> list[tuple[int, int]]:
-    """The exact `[lo, hi]` of each logit, as the `Bundle`s of `network_logits` carry it."""
-    bounds = [(f.lo, f.hi) for f in domain.features]
-    for layer in net.layers:
-        out = []
-        for row, bias in zip(layer.weights, layer.biases):
-            lo = hi = bias
-            for w, (a_lo, a_hi) in zip(row, bounds):
-                lo += w * (a_lo if w > 0 else a_hi)
-                hi += w * (a_hi if w > 0 else a_lo)
-            lo, hi = lo >> layer.post_shift, hi >> layer.post_shift
-            if layer.activation == "relu":
-                lo, hi = max(lo, 0), max(hi, 0)
-            out.append((lo, hi))
-        bounds = out
-    return bounds
+def bound_label(model: Model, domain: InputDomain) -> Optional[int]:
+    """The label a network decides on every point of `domain`, if one bound pass proves it.
 
-
-def interval_label(model: Model, domain: InputDomain) -> Optional[int]:
-    """The label a network decides on every point of `domain`, if its logit bounds prove it.
-
-    Label l wins where every lower label's logit is below its own and no
-    higher one is above it (the argmax of `compile_network`). None when the
-    bounds leave the decision open, and for trees, whose circuits
-    `compile_tree` already folds against the domain.
-    """
-    if not isinstance(model, QuantizedNetwork):
-        return None
-    bounds = logit_bounds(model, domain)
-    for l, (lo, _) in enumerate(bounds):
-        if all(hi < lo for _, hi in bounds[:l]) and all(hi <= lo for _, hi in bounds[l + 1:]):
-            return l
-    return None
-
-
-def _form_range(form: tuple, box: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """The scaled min and max of a linear form (coefficients, constant, error lo, error hi)."""
-    coeffs, const, err_lo, err_hi = form
-    lo, hi = const + err_lo, const + err_hi
-    for c, (a, b) in zip(coeffs, box):
-        if c > 0:
-            lo, hi = lo + c * a, hi + c * b
-        elif c < 0:
-            lo, hi = lo + c * b, hi + c * a
-    return lo, hi
-
-
-def difference_label(model: Model, domain: InputDomain) -> Optional[int]:
-    """The label a network decides on every point of `domain`, if bounds on logit differences prove it.
-
-    Each unit is a linear form over the inputs plus an error interval, as in
-    ReluVal's symbolic intervals: a stably active ReLU keeps its form, a
-    stably inactive one is 0 and an unstable one the constant `[0, hi]`.
-    `>> s` divides the form by `2**s` and adds the floor's error
-    `[-(2**s - 1) / 2**s, 0]`. Every form of a layer is scaled by one
-    `2**scale`, the sum of the shifts so far, so all arithmetic is on
-    integers; units are integers, so their concrete bounds round inward.
-    Label l wins where `logit_l - logit_j` is at least 1 for every lower
-    label j and at least 0 for every higher one. None when the bounds leave
-    the decision open, and for trees.
+    Each unit carries an integer interval, by the rules of the compiled
+    `Bundle`s, and a linear form over the inputs plus an error interval
+    (ReluVal's symbolic intervals): `>> s` divides the form by `2**s` and
+    adds the floor's error `[-(2**s - 1) / 2**s, 0]`, and all forms of a
+    layer are scaled by `2**scale`, the sum of the shifts so far, to stay on
+    integers. After each affine row the interval narrows to the form's
+    range, rounded inward (a reduced product, as in DeepPoly). A ReLU keeps
+    its form where the interval is stably active, is 0 where it is stably
+    inactive, and the constant `[0, hi]` otherwise. Label l wins the argmax
+    of `compile_network` (ties to the lowest label) by the logit intervals,
+    or where `logit_l - logit_j` is at least 1 for every lower label j and
+    at least 0 for every higher one. The forms keep the correlation between
+    logits and the intervals round every unit to an integer, so each test
+    decides boxes the other leaves open. None when both leave it open, and
+    for trees, whose circuits `compile_tree` already folds against the box.
     """
     if not isinstance(model, QuantizedNetwork):
         return None
     box = [(f.lo, f.hi) for f in domain.features]
-    n = len(box)
-    forms = [([int(i == k) for i in range(n)], 0, 0, 0) for k in range(n)]
+    zeros = [0] * len(box)  # shared by every constant form
+    # (coefficients, constant, error lo, error hi, lo, hi). An input's form is
+    # the input itself, so a first-layer form's coefficients are its row and
+    # its range is its interval: inputs carry no coefficient list.
+    units = [(None, 0, 0, 0, lo, hi) for lo, hi in box]
     scale = 0
-    for layer in model.layers:
-        bias_scale, scale = scale, scale + layer.post_shift
-        floor_error = ((1 << layer.post_shift) - 1) << bias_scale
+    for depth, layer in enumerate(model.layers):
+        shift = layer.post_shift
+        bias_scale, scale = scale, scale + shift
+        floor_error = ((1 << shift) - 1) << bias_scale
         out = []
         for row, bias in zip(layer.weights, layer.biases):
-            coeffs, const, err_lo, err_hi = [0] * n, bias << bias_scale, -floor_error, 0
-            for w, (f_coeffs, f_const, f_lo, f_hi) in zip(row, forms):
-                if w:
-                    coeffs = [a + w * c for a, c in zip(coeffs, f_coeffs)]
-                    const += w * f_const
-                    if w > 0:
-                        err_lo, err_hi = err_lo + w * f_lo, err_hi + w * f_hi
-                    else:
-                        err_lo, err_hi = err_lo + w * f_hi, err_hi + w * f_lo
-            form = (coeffs, const, err_lo, err_hi)
+            lo = hi = bias
+            coeffs = zeros if depth else list(row)
+            const, err_lo, err_hi = bias << bias_scale, -floor_error, 0
+            for w, (u_coeffs, u_const, u_err_lo, u_err_hi, u_lo, u_hi) in zip(row, units):
+                if w > 0:
+                    lo, hi = lo + w * u_lo, hi + w * u_hi
+                    err_lo, err_hi = err_lo + w * u_err_lo, err_hi + w * u_err_hi
+                elif w < 0:
+                    lo, hi = lo + w * u_hi, hi + w * u_lo
+                    err_lo, err_hi = err_lo + w * u_err_hi, err_hi + w * u_err_lo
+                else:
+                    continue
+                const += w * u_const
+                if depth and u_coeffs is not zeros:
+                    coeffs = [a + w * c for a, c in zip(coeffs, u_coeffs)]
+            lo, hi = lo >> shift, hi >> shift
+            if depth:
+                f_lo, f_hi = const + err_lo, const + err_hi
+                for c, (a, b) in zip(coeffs, box):
+                    if c > 0:
+                        f_lo, f_hi = f_lo + c * a, f_hi + c * b
+                    elif c < 0:
+                        f_lo, f_hi = f_lo + c * b, f_hi + c * a
+                lo, hi = max(lo, -(-f_lo >> scale)), min(hi, f_hi >> scale)
             if layer.activation == "relu":
-                lo, hi = _form_range(form, box)
-                lo, hi = -(-lo >> scale), hi >> scale
                 if hi <= 0:
-                    form = ([0] * n, 0, 0, 0)
+                    coeffs, const, err_lo, err_hi, lo, hi = zeros, 0, 0, 0, 0, 0
                 elif lo < 0:
-                    form = ([0] * n, 0, 0, hi << scale)
-            out.append(form)
-        forms = out
-    for l, (coeffs, const, err_lo, err_hi) in enumerate(forms):
-        for j, (j_coeffs, j_const, j_lo, j_hi) in enumerate(forms):
+                    coeffs, const, err_lo, err_hi, lo = zeros, 0, 0, hi << scale, 0
+            out.append((coeffs, const, err_lo, err_hi, lo, hi))
+        units = out
+    for l, unit in enumerate(units):
+        lo = unit[4]
+        if all(u[5] < lo for u in units[:l]) and all(u[5] <= lo for u in units[l + 1:]):
+            return l
+    for l, (coeffs, const, err_lo, _, _, _) in enumerate(units):
+        for j, (j_coeffs, j_const, _, j_err_hi, _, _) in enumerate(units):
             if j == l:
                 continue
-            diff = (
-                [a - b for a, b in zip(coeffs, j_coeffs)],
-                const - j_const, err_lo - j_hi, err_hi - j_lo,
-            )
-            least = -(-_form_range(diff, box)[0] >> scale)
-            if least < (1 if j < l else 0):
+            least = const - j_const + err_lo - j_err_hi
+            for c, j_c, (a, b) in zip(coeffs, j_coeffs, box):
+                least += (c - j_c) * (a if c > j_c else b)
+            if -(-least >> scale) < (1 if j < l else 0):
                 break
         else:
             return l

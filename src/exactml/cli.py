@@ -46,6 +46,8 @@ def _read_json(path: str) -> dict:
         return json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError(f"{path}: JSON nested too deeply") from exc
 
 
 def _load_domain(arg: Optional[str], nodes: Optional[int]):

@@ -127,6 +127,8 @@ def emit_dimacs(cnf: CnfFormula, dialect: str = "ind_comment") -> str:
     """Byte-stable DIMACS text with projection annotations."""
     if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}")
+    if not all(cnf.clauses):
+        raise DimacsError("empty clause")
     lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
     proj = sorted(cnf.projection)
     if dialect == "ind_comment":

@@ -11,9 +11,9 @@ roots on a full-domain circuit, outside the seam.
 Robustness and safety count over the property's box (the L-infinity region,
 or the bounding box of Pre) instead of the whole domain: no input outside
 the box can satisfy the root, so the counts are the same and the circuits
-are smaller. Where exact interval bounds on a network's logits decide its
-label on the whole domain (`circuit.interval_label`), or, when they leave
-it open, bounds on the logit differences do (`circuit.difference_label`),
+are smaller. Where one bound pass over a network's layers decides its
+label on the whole domain (`circuit.bound_label`: integer intervals and
+linear forms per unit, tested on the logits and on their differences),
 the model is not compiled and its `model_<l>` outputs are constants. A
 root that folds to a constant counts as the domain's size or 0, with the
 method "constant", and reaches no counter; the other roots go to the
@@ -36,8 +36,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from . import bdd
 from .circuit import (
-    METRIC_KINDS, Circuit, compile_model, compile_predicate, compose_metric, constrain_region,
-    difference_label, interval_label,
+    METRIC_KINDS, Circuit, bound_label, compile_model, compile_predicate, compose_metric,
+    constrain_region,
 )
 from .cnf import CnfFormula, tseitin
 from .counter import CountResult
@@ -153,17 +153,14 @@ def count_over(
 ) -> tuple[dict[str, CountResult], Optional[int]]:
     """Count the roots that `roots_of` builds on the model's circuit over `domain`.
 
-    Where interval bounds, or else difference bounds, decide the model's
-    label on `domain`, nothing of the model is compiled: its `model_<l>`
-    outputs are constants. A root that folds to a constant counts as the
-    domain's size or 0, with method "constant", and never reaches
-    `count_fn`. Every other root goes to one
+    Where `bound_label` decides the model's label on `domain`, nothing of
+    the model is compiled: its `model_<l>` outputs are constants. A root
+    that folds to a constant counts as the domain's size or 0, with method
+    "constant", and never reaches `count_fn`. Every other root goes to one
     `count_fn` call, each wire once, under the first name on it. Returns the
     results, in `roots` order, and the decided label (None if open).
     """
-    label = interval_label(model, domain)
-    if label is None:
-        label = difference_label(model, domain)
+    label = bound_label(model, domain)
     if label is None:
         circuit = compile_model(model, domain)
     else:

@@ -7,7 +7,9 @@ import pytest
 
 import exactml.bdd
 from exactml.circuit import Circuit
-from exactml.models import InputDomain, Leaf, load_domain, load_network, load_tree
+from exactml.models import (
+    InputDomain, Leaf, QuantizedNetwork, load_domain, load_network, load_tree,
+)
 from exactml.predicates import And, CmpConst, Not, Or, Predicate, validate_predicate
 
 
@@ -180,6 +182,116 @@ def registered_bundles(monkeypatch):
 
     monkeypatch.setattr(Circuit, "_register", recording)
     return bundles
+
+
+# ---------------------------------------------------------------------------
+# The two halves of `circuit.bound_label`, each on its own: test oracles
+# ---------------------------------------------------------------------------
+
+def logit_bounds(net, domain):
+    """The exact `[lo, hi]` of each logit, as the `Bundle`s of `network_logits` carry it."""
+    bounds = [(f.lo, f.hi) for f in domain.features]
+    for layer in net.layers:
+        out = []
+        for row, bias in zip(layer.weights, layer.biases):
+            lo = hi = bias
+            for w, (a_lo, a_hi) in zip(row, bounds):
+                lo += w * (a_lo if w > 0 else a_hi)
+                hi += w * (a_hi if w > 0 else a_lo)
+            lo, hi = lo >> layer.post_shift, hi >> layer.post_shift
+            if layer.activation == "relu":
+                lo, hi = max(lo, 0), max(hi, 0)
+            out.append((lo, hi))
+        bounds = out
+    return bounds
+
+
+def interval_label(model, domain):
+    """The label a network decides on every point of `domain`, if its logit bounds prove it.
+
+    Label l wins where every lower label's logit is below its own and no
+    higher one is above it (the argmax of `compile_network`). None when the
+    bounds leave the decision open, and for trees.
+    """
+    if not isinstance(model, QuantizedNetwork):
+        return None
+    bounds = logit_bounds(model, domain)
+    for l, (lo, _) in enumerate(bounds):
+        if all(hi < lo for _, hi in bounds[:l]) and all(hi <= lo for _, hi in bounds[l + 1:]):
+            return l
+    return None
+
+
+def _form_range(form, box):
+    """The scaled min and max of a linear form (coefficients, constant, error lo, error hi)."""
+    coeffs, const, err_lo, err_hi = form
+    lo, hi = const + err_lo, const + err_hi
+    for c, (a, b) in zip(coeffs, box):
+        if c > 0:
+            lo, hi = lo + c * a, hi + c * b
+        elif c < 0:
+            lo, hi = lo + c * b, hi + c * a
+    return lo, hi
+
+
+def difference_label(model, domain):
+    """The label a network decides on every point of `domain`, if bounds on logit differences prove it.
+
+    Each unit is a linear form over the inputs plus an error interval, as in
+    ReluVal's symbolic intervals: a stably active ReLU keeps its form, a
+    stably inactive one is 0 and an unstable one the constant `[0, hi]`,
+    where stability is read from the form's own range. `>> s` divides the
+    form by `2**s` and adds the floor's error `[-(2**s - 1) / 2**s, 0]`.
+    Every form of a layer is scaled by one `2**scale`, the sum of the
+    shifts so far, so all arithmetic is on integers. Label l wins where
+    `logit_l - logit_j` is at least 1 for every lower label j and at least
+    0 for every higher one. None when the bounds leave the decision open,
+    and for trees.
+    """
+    if not isinstance(model, QuantizedNetwork):
+        return None
+    box = [(f.lo, f.hi) for f in domain.features]
+    n = len(box)
+    forms = [([int(i == k) for i in range(n)], 0, 0, 0) for k in range(n)]
+    scale = 0
+    for layer in model.layers:
+        bias_scale, scale = scale, scale + layer.post_shift
+        floor_error = ((1 << layer.post_shift) - 1) << bias_scale
+        out = []
+        for row, bias in zip(layer.weights, layer.biases):
+            coeffs, const, err_lo, err_hi = [0] * n, bias << bias_scale, -floor_error, 0
+            for w, (f_coeffs, f_const, f_lo, f_hi) in zip(row, forms):
+                if w:
+                    coeffs = [a + w * c for a, c in zip(coeffs, f_coeffs)]
+                    const += w * f_const
+                    if w > 0:
+                        err_lo, err_hi = err_lo + w * f_lo, err_hi + w * f_hi
+                    else:
+                        err_lo, err_hi = err_lo + w * f_hi, err_hi + w * f_lo
+            form = (coeffs, const, err_lo, err_hi)
+            if layer.activation == "relu":
+                lo, hi = _form_range(form, box)
+                lo, hi = -(-lo >> scale), hi >> scale
+                if hi <= 0:
+                    form = ([0] * n, 0, 0, 0)
+                elif lo < 0:
+                    form = ([0] * n, 0, 0, hi << scale)
+            out.append(form)
+        forms = out
+    for l, (coeffs, const, err_lo, err_hi) in enumerate(forms):
+        for j, (j_coeffs, j_const, j_lo, j_hi) in enumerate(forms):
+            if j == l:
+                continue
+            diff = (
+                [a - b for a, b in zip(coeffs, j_coeffs)],
+                const - j_const, err_lo - j_hi, err_hi - j_lo,
+            )
+            least = -(-_form_range(diff, box)[0] >> scale)
+            if least < (1 if j < l else 0):
+                break
+        else:
+            return l
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,14 @@ class TestLearnability:
         assert code == 1
         assert "nope.json" in capsys.readouterr().err
 
+    def test_deeply_nested_model_file_is_one_error_line(self, workdir, capsys):
+        deep = workdir / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code = run(["learnability", "--domain", "graph3", "--model", deep,
+                    "--property", "reflexive", "--nodes", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
     def test_budget_exhaustion_exit_code(self, workdir):
         out = workdir / "partial.json"
         code = run(["learnability", "--domain", "graph3",
@@ -497,9 +505,8 @@ class TestDeterminism:
 class TestDecidedBaseline:
     """The label that bounds decide changes no byte of a report.
 
-    Each query runs as is and with `metrics.interval_label` and
-    `metrics.difference_label` patched to None, which compiles the net and
-    scores every baseline sample on it.
+    Each query runs as is and with `metrics.bound_label` patched to None,
+    which compiles the net and scores every baseline sample on it.
     """
 
     QUERIES = {
@@ -529,18 +536,15 @@ class TestDecidedBaseline:
                                 lambda *a, **kw: baseline(*a, **kw, with_replacement=False))
         decided = []
 
-        def spy(decider):
-            def decide(model, domain):
-                decided.append(decider(model, domain))
-                return decided[-1]
-            return decide
+        bound_label = exactml.metrics.bound_label
 
-        deciders = ("interval_label", "difference_label")
+        def spy(model, domain):
+            decided.append(bound_label(model, domain))
+            return decided[-1]
+
         outs = []
-        for patched in ([spy(getattr(exactml.metrics, name)) for name in deciders],
-                        [lambda model, domain: None] * 2):
-            for name, decide in zip(deciders, patched):
-                monkeypatch.setattr(exactml.metrics, name, decide)
+        for decide in (spy, lambda model, domain: None):
+            monkeypatch.setattr(exactml.metrics, "bound_label", decide)
             out = tmp_path / f"{len(outs)}.json"
             assert run([self.QUERIES[query][0], *args, "--out", out]) == 0
             outs.append(out.read_bytes())

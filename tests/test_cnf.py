@@ -104,6 +104,12 @@ class TestDimacs:
         assert lines[1] == "c p show 1 2 3 4 5 6 7 8 9 10 11 12 0"
         assert not any(l.startswith("c p show") for l in lines[2:])
 
+    # the second case puts the empty clause in the second chunk of 4,096 clauses
+    @pytest.mark.parametrize("clauses", [((1,), ()), ((1,),) * 5_000 + ((),)])
+    def test_an_empty_clause_is_a_dimacs_error(self, clauses):
+        with pytest.raises(DimacsError, match="empty clause"):
+            emit_dimacs(CnfFormula(1, clauses, frozenset({1})))
+
     def test_emit_is_byte_stable(self):
         dom = graph_domain(3)
         c = Circuit(dom)

@@ -5,7 +5,7 @@ import pytest
 
 import exactml.metrics
 from exactml.bdd import count_roots
-from exactml.circuit import WidthOverflowError, compile_model, interval_label
+from exactml.circuit import WidthOverflowError, compile_model
 from exactml.counter import CountResult
 from exactml.metrics import (
     binary_truth,
@@ -32,6 +32,7 @@ from exactml.predicates import (
 
 from conftest import (
     constant_tree_doc,
+    interval_label,
     make_domain,
     random_network,
     random_tree,
@@ -241,15 +242,13 @@ class TestIntervalDecided:
     """A decision that interval bounds decide is counted without the network.
 
     The net decides label 0 iff f0 >= f1; both reports must equal those of
-    the compiled path, which the patched `interval_label` and
-    `difference_label` force.
+    the compiled path, which the patched `bound_label` forces.
     """
 
     @staticmethod
     def _compiled_path(monkeypatch, metric, *args):
         with monkeypatch.context() as patch:
-            for decider in ("interval_label", "difference_label"):
-                patch.setattr(exactml.metrics, decider, lambda model, domain: None)
+            patch.setattr(exactml.metrics, "bound_label", lambda model, domain: None)
             return metric(*args)
 
     def test_robustness(self, monkeypatch, dom, net):
