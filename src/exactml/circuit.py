@@ -17,8 +17,8 @@ complement with widths chosen from exact interval bounds, so overflow is
 impossible by construction. `bound_label` decides a network's argmax on
 a box before anything is compiled, in one pass over its layers that
 carries each unit's integer interval (the bounds the compiled bundles
-have) next to an integer linear form over the inputs, each narrowing the
-other.
+have) next to an integer linear form over the inputs, whose range
+narrows the interval.
 """
 
 from __future__ import annotations
@@ -462,40 +462,40 @@ def compile_network(net: QuantizedNetwork, domain: InputDomain) -> Circuit:
 def bound_label(model: Model, domain: InputDomain) -> Optional[int]:
     """The label a network decides on every point of `domain`, if one bound pass proves it.
 
-    Each unit carries an integer interval, by the rules of the compiled
-    `Bundle`s, and a linear form over the inputs plus an error interval
-    (ReluVal's symbolic intervals): `>> s` divides the form by `2**s` and
-    adds the floor's error `[-(2**s - 1) / 2**s, 0]`, and all forms of a
-    layer are scaled by `2**scale`, the sum of the shifts so far, to stay on
+    Each unit carries a linear form over the inputs plus an error interval
+    (ReluVal's symbolic intervals) and an integer interval, by the rules of
+    the compiled `Bundle`s. `>> s` divides a form by `2**s` and adds the
+    floor's error `[-(2**s - 1) / 2**s, 0]`, and all forms of a layer are
+    scaled by `2**scale`, the sum of the shifts so far, to stay on
     integers. After each affine row the interval narrows to the form's
-    range, rounded inward (a reduced product, as in DeepPoly). A ReLU keeps
-    its form where the interval is stably active, is 0 where it is stably
-    inactive, and the constant `[0, hi]` otherwise. Label l wins the argmax
-    of `compile_network` (ties to the lowest label) by the logit intervals,
-    or where `logit_l - logit_j` is at least 1 for every lower label j and
-    at least 0 for every higher one. The forms keep the correlation between
-    logits and the intervals round every unit to an integer, so each test
-    decides boxes the other leaves open. None when both leave it open, and
-    for trees, whose circuits `compile_tree` already folds against the box.
+    range, rounded inward (a reduced product, as in DeepPoly). A ReLU reads
+    its case from the form's rounded range alone: it keeps the form where
+    that range is stably active, is 0 where it is stably inactive, and the
+    constant `[0, form's hi]` otherwise. So the forms are those that forms
+    alone would give, the intervals are never wider than intervals alone
+    would give, and the pass decides every box that either decides alone. Label
+    l wins the argmax of `compile_network` (ties to the lowest label) by
+    the logit intervals, or where `logit_l - logit_j` is at least 1 for
+    every lower label j and at least 0 for every higher one. None when
+    both tests leave it open, and for trees, whose circuits `compile_tree`
+    already folds against the box.
     """
     if not isinstance(model, QuantizedNetwork):
         return None
     box = [(f.lo, f.hi) for f in domain.features]
-    zeros = [0] * len(box)  # shared by every constant form
-    # (coefficients, constant, error lo, error hi, lo, hi). An input's form is
-    # the input itself, so a first-layer form's coefficients are its row and
-    # its range is its interval: inputs carry no coefficient list.
-    units = [(None, 0, 0, 0, lo, hi) for lo, hi in box]
+    # (coefficients, constant, error lo, error hi, lo, hi). The coefficients
+    # map an input's index to its coefficient: an input's form has one entry
+    # and a constant's none, so neither costs a walk over every input.
+    units = [({k: 1}, 0, 0, 0, lo, hi) for k, (lo, hi) in enumerate(box)]
     scale = 0
-    for depth, layer in enumerate(model.layers):
+    for layer in model.layers:
         shift = layer.post_shift
         bias_scale, scale = scale, scale + shift
         floor_error = ((1 << shift) - 1) << bias_scale
         out = []
         for row, bias in zip(layer.weights, layer.biases):
+            coeffs, const, err_lo, err_hi = {}, bias << bias_scale, -floor_error, 0
             lo = hi = bias
-            coeffs = zeros if depth else list(row)
-            const, err_lo, err_hi = bias << bias_scale, -floor_error, 0
             for w, (u_coeffs, u_const, u_err_lo, u_err_hi, u_lo, u_hi) in zip(row, units):
                 if w > 0:
                     lo, hi = lo + w * u_lo, hi + w * u_hi
@@ -506,22 +506,26 @@ def bound_label(model: Model, domain: InputDomain) -> Optional[int]:
                 else:
                     continue
                 const += w * u_const
-                if depth and u_coeffs is not zeros:
-                    coeffs = [a + w * c for a, c in zip(coeffs, u_coeffs)]
-            lo, hi = lo >> shift, hi >> shift
-            if depth:
-                f_lo, f_hi = const + err_lo, const + err_hi
-                for c, (a, b) in zip(coeffs, box):
-                    if c > 0:
-                        f_lo, f_hi = f_lo + c * a, f_hi + c * b
-                    elif c < 0:
-                        f_lo, f_hi = f_lo + c * b, f_hi + c * a
-                lo, hi = max(lo, -(-f_lo >> scale)), min(hi, f_hi >> scale)
+                for k, c in u_coeffs.items():
+                    coeffs[k] = coeffs.get(k, 0) + w * c
+            f_lo, f_hi = const + err_lo, const + err_hi
+            for k, c in coeffs.items():
+                a, b = box[k]
+                if c > 0:
+                    f_lo, f_hi = f_lo + c * a, f_hi + c * b
+                else:
+                    f_lo, f_hi = f_lo + c * b, f_hi + c * a
+            f_lo, f_hi = -(-f_lo >> scale), f_hi >> scale
+            lo, hi = max(lo >> shift, f_lo), min(hi >> shift, f_hi)
             if layer.activation == "relu":
-                if hi <= 0:
-                    coeffs, const, err_lo, err_hi, lo, hi = zeros, 0, 0, 0, 0, 0
-                elif lo < 0:
-                    coeffs, const, err_lo, err_hi, lo = zeros, 0, 0, hi << scale, 0
+                # Not from the narrowed interval: its lo can be >= 0 while the
+                # form dips below 0, and keeping that form in place of the
+                # constant can lose a box that the forms alone decide.
+                if f_hi <= 0:
+                    coeffs, const, err_lo, err_hi = {}, 0, 0, 0
+                elif f_lo < 0:
+                    coeffs, const, err_lo, err_hi = {}, 0, 0, f_hi << scale
+                lo, hi = max(lo, 0), max(hi, 0)
             out.append((coeffs, const, err_lo, err_hi, lo, hi))
         units = out
     for l, unit in enumerate(units):
@@ -533,8 +537,9 @@ def bound_label(model: Model, domain: InputDomain) -> Optional[int]:
             if j == l:
                 continue
             least = const - j_const + err_lo - j_err_hi
-            for c, j_c, (a, b) in zip(coeffs, j_coeffs, box):
-                least += (c - j_c) * (a if c > j_c else b)
+            for k, (a, b) in enumerate(box):
+                d = coeffs.get(k, 0) - j_coeffs.get(k, 0)
+                least += d * (a if d > 0 else b)
             if -(-least >> scale) < (1 if j < l else 0):
                 break
         else:

@@ -4,9 +4,12 @@ It is sound, and `metrics.count_over` decides with it wherever either of
 its halves on its own does: the oracles `interval_label` (per-logit
 intervals, which are exactly those of the compiled logits) and
 `difference_label` (linear forms on the logit differences) in
-`conftest.py`. Neither half dominates the other, and the reduced product
-of the two decides boxes that neither does alone. Needs `hypothesis`;
-skipped where it is missing.
+`conftest.py`. The pass keeps the oracles' forms and narrows their
+intervals, so it dominates both by construction; the dominance test and a
+pinned net whose ReLU case must come from its form check that. Neither
+half dominates the other, and the reduced product of the two decides
+boxes that neither does alone. Needs `hypothesis`; skipped where it is
+missing.
 """
 
 import random
@@ -51,6 +54,22 @@ REDUCED_PRODUCT_NET_DOC = {
 }
 
 
+# On x0 in [3, 5], the ReLU unit 2*h0 + h1 - 5 takes the values 0, 1 and 3,
+# and its interval is [0, 3]. The floors of h0 and h1 let its form dip to
+# -3/2, so by the form's own range the ReLU is unstable and becomes the
+# constant [0, 4]; then logit_1 - logit_0 = unit + 1 is at least 1: label 1.
+# Keeping the form, as the interval's lo of 0 would suggest, leaves it open.
+FLOORED_RELU_NET_DOC = {
+    "format_version": 1, "kind": "quantized_network", "input_width": 1,
+    "layers": [
+        {"weights": [[3], [2], [4]], "biases": [-1, 1, 0], "activation": "none", "post_shift": 2},
+        {"weights": [[2, 1, 0], [0, 0, 1]], "biases": [-5, 0], "activation": "relu",
+         "post_shift": 0},
+        {"weights": [[0, 1], [1, 1]], "biases": [0, 1], "activation": "none", "post_shift": 0},
+    ],
+}
+
+
 @SETTINGS
 @given(feature_ranges, seeds)
 def test_a_decided_label_is_the_decision_on_every_point(ranges, seed):
@@ -90,6 +109,15 @@ def test_only_the_reduced_product_decides_this_box():
     net = load_network(REDUCED_PRODUCT_NET_DOC, dom)
     assert (interval_label(net, dom), difference_label(net, dom), bound_label(net, dom)) == (
         None, None, 1,
+    )
+    assert [eval_model(net, p, dom) for p in enumerate_domain(dom)] == [1, 1, 1]
+
+
+def test_a_relu_reads_its_case_from_its_form():
+    dom = make_domain([(3, 5)], prefix="x")
+    net = load_network(FLOORED_RELU_NET_DOC, dom)
+    assert (interval_label(net, dom), difference_label(net, dom), bound_label(net, dom)) == (
+        None, 1, 1,
     )
     assert [eval_model(net, p, dom) for p in enumerate_domain(dom)] == [1, 1, 1]
 
