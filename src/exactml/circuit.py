@@ -36,7 +36,7 @@ from .models import (
     QuantizedNetwork,
 )
 from . import predicates as P
-from .predicates import Predicate, RobustnessRegion
+from .predicates import Predicate
 
 MAX_BUNDLE_WIDTH = 64
 
@@ -633,17 +633,15 @@ def compose_metric(circuit: Circuit, label: int, kind: str) -> int:
     return circuit.and_(truth, circuit.not_(model))
 
 
-def constrain_region(circuit: Circuit, root: int, region: RobustnessRegion) -> int:
-    """Conjoin per-feature interval comparators onto `root`."""
-    if region.size() <= 0:
-        raise ValueError("empty region")
+def constrain_region(circuit: Circuit, root: int, region: InputDomain) -> int:
+    """Conjoin onto `root` a comparator for each end where `region` narrows a feature."""
     acc = root
-    for i, ((rlo, rhi), f) in enumerate(zip(region.intervals, circuit.domain.features)):
+    for i, (r, f) in enumerate(zip(region.features, circuit.domain.features)):
         bits = circuit.feature_bits(i)
-        if rlo > f.lo:
-            acc = circuit.and_(acc, circuit.unsigned_ge_const(bits, rlo - f.lo))
-        if rhi < f.hi:
-            acc = circuit.and_(acc, circuit.unsigned_le_const(bits, rhi - f.lo))
+        if r.lo > f.lo:
+            acc = circuit.and_(acc, circuit.unsigned_ge_const(bits, r.lo - f.lo))
+        if r.hi < f.hi:
+            acc = circuit.and_(acc, circuit.unsigned_le_const(bits, r.hi - f.lo))
     return acc
 
 

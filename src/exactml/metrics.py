@@ -42,15 +42,7 @@ from .circuit import (
 from .cnf import CnfFormula, tseitin
 from .counter import CountResult
 from .models import InputDomain, Model, ModelError, eval_model, eval_unchecked
-from .predicates import (
-    Not,
-    Predicate,
-    RobustnessRegion,
-    SafetyProperty,
-    bounding_box,
-    box_domain,
-    region,
-)
+from .predicates import Not, Predicate, SafetyProperty, bounding_box, region
 
 # count_fn(circuit, {name: root}) -> {name: CountResult}; each count ranges
 # over the circuit's domain
@@ -206,11 +198,11 @@ def safety_roots(circuit: Circuit, prop: SafetyProperty) -> dict[str, int]:
     }
 
 
-def robustness_roots(circuit: Circuit, target: int, region: RobustnessRegion) -> dict[str, int]:
+def robustness_roots(circuit: Circuit, target: int, region: InputDomain) -> dict[str, int]:
     """`robustness`: the target label inside the L-inf region.
 
-    Over the region's own box every interval spans its feature, so the
-    region constraint adds no gate there.
+    Over the region itself every feature spans its range, so the region
+    constraint adds no gate there.
     """
     return {"robustness": constrain_region(circuit, circuit.output(f"model_{target}"), region)}
 
@@ -269,12 +261,10 @@ def safety(
     for label in prop.allowed:
         if not (0 <= label < model.num_labels):
             raise ModelError(f"allowed label {label} out of range")
-    intervals = bounding_box(prop.pre, domain)
-    if intervals is None:
+    box = bounding_box(prop.pre, domain)
+    if box is None:
         return SafetyReport(0, 0, 0, None, True)
-    results, decided = count_over(
-        model, box_domain(domain, intervals), lambda circuit: safety_roots(circuit, prop), count_fn
-    )
+    results, decided = count_over(model, box, lambda circuit: safety_roots(circuit, prop), count_fn)
 
     gaps = [f"{name}: budget exhausted" for name, r in results.items() if r.exhausted]
     pre_size, sat, viol = (results[name].count for name in ("pre", "sat", "viol"))
@@ -301,24 +291,21 @@ def robustness(
     the bits that vary inside the ball.
     """
     target = eval_model(model, center, domain)
-    reg = region(center, epsilon, domain)
+    ball = region(center, epsilon, domain)
     results, decided = count_over(
-        model,
-        box_domain(domain, reg.intervals),
-        lambda circuit: robustness_roots(circuit, target, reg),
-        count_fn,
+        model, ball, lambda circuit: robustness_roots(circuit, target, ball), count_fn
     )
     result = results["robustness"]
     if result.exhausted:
         return RobustnessReport(
-            target, reg.size(), None, None, tuple(center), epsilon,
+            target, ball.size(), None, None, tuple(center), epsilon,
             ("robustness: budget exhausted",),
         )
     return RobustnessReport(
         target,
-        reg.size(),
+        ball.size(),
         result.count,
-        Fraction(result.count, reg.size()),
+        Fraction(result.count, ball.size()),
         tuple(center),
         epsilon,
         decided_label=decided,
@@ -385,10 +372,9 @@ def statistical_baseline(
     elif kind == "robustness":
         if center is None or epsilon is None:
             raise ValueError("robustness baseline needs center and epsilon")
-        ball = region(center, epsilon, domain)  # checks the center
+        population = region(center, epsilon, domain)  # checks the center
         if decided_label is not None and n_samples > 0:
             return Fraction(1)  # every point of the ball takes the center's label
-        population = box_domain(domain, ball.intervals)
         target = label_of(center)
 
         def outcome(point):

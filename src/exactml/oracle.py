@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .models import InputDomain, Model, ModelError, eval_model
-from .predicates import Predicate, RobustnessRegion, validate_predicate
+from .predicates import Predicate, validate_predicate
 
 ENUMERATION_CAP = 1 << 24
 
@@ -83,28 +83,27 @@ def brute_count_predicate(
 def brute_count_root(
     circuit,
     root: int,
-    region: Optional[RobustnessRegion] = None,
+    region: Optional[InputDomain] = None,
     cap: int = ENUMERATION_CAP,
 ) -> int:
-    """Count inputs (of the domain, or of a region) whose simulation sets `root`.
+    """Count inputs (of the domain, or of a sub-domain) whose simulation sets `root`.
 
     Differential use only: this is the simulate-side of circuit checks.
     """
-    points = region.points() if region is not None else enumerate_domain(circuit.domain)
-    size = region.size() if region is not None else circuit.domain.size()
-    _check_cap(size, cap)
-    return sum(1 for point in points if circuit.simulate(point)[root])
+    over = circuit.domain if region is None else region
+    _check_cap(over.size(), cap)
+    return sum(1 for point in enumerate_domain(over) if circuit.simulate(point)[root])
 
 
 def brute_robustness(
     model: Model,
     center: Sequence[int],
-    reg: RobustnessRegion,
+    reg: InputDomain,
     domain: InputDomain,
     cap: int = ENUMERATION_CAP,
 ) -> tuple[int, int]:
     """(region size, points classified like the center) by direct evaluation."""
     _check_cap(reg.size(), cap)
     target = eval_model(model, center, domain)
-    correct = sum(1 for point in reg.points() if eval_model(model, point, domain) == target)
+    correct = sum(1 for point in enumerate_domain(reg) if eval_model(model, point, domain) == target)
     return reg.size(), correct

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .models import FeatureSpec, InputDomain, ModelError
 
@@ -514,53 +514,34 @@ def load_safety_property(doc, domain: InputDomain, n_labels: int) -> SafetyPrope
     return SafetyProperty(pre, allowed)
 
 
-@dataclass(frozen=True)
-class RobustnessRegion:
-    """L-infinity ball of radius epsilon around `center`, clipped to the domain."""
-
-    center: tuple[int, ...]
-    epsilon: int
-    intervals: tuple[tuple[int, int], ...]
-
-    def size(self) -> int:
-        n = 1
-        for lo, hi in self.intervals:
-            n *= hi - lo + 1
-        return n
-
-    def points(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(range(lo, hi + 1) for lo, hi in self.intervals))
-
-
-def region(center: Sequence[int], epsilon: int, domain: InputDomain) -> RobustnessRegion:
+def region(center: Sequence[int], epsilon: int, domain: InputDomain) -> InputDomain:
+    """The sub-domain of `domain` in the L-infinity ball of radius `epsilon` around `center`."""
     if epsilon < 0:
         raise ModelError("epsilon must be non-negative")
     domain.check_point(center)
-    intervals = tuple(
-        (max(f.lo, c - epsilon), min(f.hi, c + epsilon))
-        for f, c in zip(domain.features, center)
-    )
-    return RobustnessRegion(tuple(center), epsilon, intervals)
+    return _box_domain(domain, tuple(
+        (max(f.lo, c - epsilon), min(f.hi, c + epsilon)) for f, c in zip(domain.features, center)
+    ))
 
 
 # ---------------------------------------------------------------------------
 # Boxes: per-feature intervals that bound where a property can hold
 # ---------------------------------------------------------------------------
 
-Box = tuple[tuple[int, int], ...]
+_Box = tuple[tuple[int, int], ...]
 
 _NEGATED_OP = {"<=": ">", "<": ">=", ">=": "<", ">": "<=", "=": "!=", "!=": "="}
 
 
-def box_domain(domain: InputDomain, box: Box) -> InputDomain:
+def _box_domain(domain: InputDomain, box: _Box) -> InputDomain:
     """The sub-domain of `domain` whose features range over `box`."""
     return InputDomain(
         tuple(FeatureSpec(f.name, lo, hi) for f, (lo, hi) in zip(domain.features, box))
     )
 
 
-def bounding_box(pred: Predicate, domain: InputDomain) -> Optional[Box]:
-    """A box holding every domain point that satisfies `pred`; None if there is none.
+def bounding_box(pred: Predicate, domain: InputDomain) -> Optional[InputDomain]:
+    """A sub-domain holding every point of `domain` that satisfies `pred`; None if there is none.
 
     `And` intersects its children's boxes and `Or` takes their hull; a
     comparison with a constant, or its negation, bounds its feature; `false`
@@ -568,10 +549,11 @@ def bounding_box(pred: Predicate, domain: InputDomain) -> Optional[Box]:
     always the smallest.
     """
     validate_predicate(pred, domain)
-    return _bounding_box(pred, tuple((f.lo, f.hi) for f in domain.features))
+    box = _bounding_box(pred, tuple((f.lo, f.hi) for f in domain.features))
+    return None if box is None else _box_domain(domain, box)
 
 
-def _bounding_box(pred: Predicate, full: Box) -> Optional[Box]:
+def _bounding_box(pred: Predicate, full: _Box) -> Optional[_Box]:
     if isinstance(pred, Not):
         child = pred.child
         if isinstance(child, CmpConst):

@@ -149,7 +149,7 @@ def eval_predicate(pred, point, domain=None):
 
 
 def in_region(region, point):
-    return all(lo <= v <= hi for (lo, hi), v in zip(region.intervals, point))
+    return all(f.lo <= v <= f.hi for f, v in zip(region.features, point))
 
 
 def simulate_outputs(circuit, point):

@@ -59,10 +59,10 @@ class TestBoundingBox:
             "f0 >= 8 && (f0 <= f1 || f1 = 2)": ((8, 9), (-3, 3)),
         }
         for text, want in cases.items():
-            assert bounding_box(parse_predicate(text, dom), dom) == want, text
-        assert bounding_box(CmpFeature("<", 0, 1), dom) == full
-        assert bounding_box(Not(Or((CmpConst("<", 0, 3),))), dom) == full
-        assert bounding_box(And(()), dom) == full
+            assert bounding_box(parse_predicate(text, dom), dom) == make_domain(want), text
+        assert bounding_box(CmpFeature("<", 0, 1), dom) == dom
+        assert bounding_box(Not(Or((CmpConst("<", 0, 3),))), dom) == dom
+        assert bounding_box(And(()), dom) == dom
 
     def test_empty_boxes(self):
         dom = make_domain([(0, 9), (5, 5)])
@@ -89,7 +89,7 @@ class TestBoundingBox:
         dom = make_domain([(0, 3)])
         tree = load_tree(constant_tree_doc(1), dom)
         prop = SafetyProperty(parse_predicate("f0 = 2 && f0 != 2", dom), frozenset({1}))
-        assert bounding_box(prop.pre, dom) == ((2, 2),)
+        assert bounding_box(prop.pre, dom) == make_domain([(2, 2)])
         report = safety(tree, prop, dom)
         assert (report.pre_size, report.sat_count, report.viol_count) == (0, 0, 0)
         assert report.vacuous

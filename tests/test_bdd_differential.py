@@ -34,7 +34,7 @@ from exactml.oracle import (  # noqa: E402
     brute_robustness,
     enumerate_domain,
 )
-from exactml.predicates import SafetyProperty, bounding_box, box_domain, region  # noqa: E402
+from exactml.predicates import SafetyProperty, bounding_box, region  # noqa: E402
 
 from conftest import (  # noqa: E402
     count_on_bdd,
@@ -145,7 +145,7 @@ class TestDifferential:
         reg = region(center, eps, dom)
         _, correct = brute_robustness(model, center, reg, dom)
         target = eval_model(model, center, dom)
-        for over in (dom, box_domain(dom, reg.intervals)):
+        for over in (dom, reg):
             circ = compile_model(model, over)
             roots = robustness_roots(circ, target, reg)
             for counts in (count_roots(circ, roots), count_on_bdd(circ, roots)):
@@ -160,7 +160,7 @@ class TestDifferential:
         prop = SafetyProperty(random_predicate(rng, dom, depth=3), frozenset({1}))
         sat, viol = _brute_safety(model, prop, dom)
         box = bounding_box(prop.pre, dom)
-        for over in (dom,) if box is None else (dom, box_domain(dom, box)):
+        for over in (dom,) if box is None else (dom, box):
             circ = compile_model(model, over)
             roots = safety_roots(circ, prop)
             for counts in (count_roots(circ, roots), count_on_bdd(circ, roots)):
@@ -190,4 +190,4 @@ def test_bounding_box_holds_every_satisfying_point(ranges, seed):
     for point in enumerate_domain(dom):
         if pred.evaluate(point):
             assert box is not None
-            assert all(lo <= v <= hi for v, (lo, hi) in zip(point, box))
+            assert all(f.lo <= v <= f.hi for v, f in zip(point, box.features))

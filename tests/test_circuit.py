@@ -253,7 +253,7 @@ class TestConstrainRegion:
         c = Circuit(dom)
         reg = region((10, 10, 10, 10), 1, dom)
         root = constrain_region(c, c.const(True), reg)
-        inside = sum(c.simulate(pt)[root] for pt in reg.points())
+        inside = sum(c.simulate(pt)[root] for pt in enumerate_domain(reg))
         assert inside == 81
         assert c.simulate((12, 10, 10, 10))[root] is False
 

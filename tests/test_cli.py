@@ -579,6 +579,8 @@ class TestGoldenDimacs:
             "bc977a640207b64ee74cd4897f93fc236c8af40ea5d87cf9d3e97c031bc23ddb",
         "graph3-fn:1-ind_comment":
             "39f4ea39b95aa59df121a76f53163b627f3c8a182ef5b9aa6593d028b34bd705",
+        "net-robustness-ind_comment":
+            "8ab5a6d2cfe563cbbf07832ce3af06240be0e247efe698134e2b276aa4c8b38d",
     }
 
     @staticmethod
@@ -601,6 +603,12 @@ class TestGoldenDimacs:
     def test_quantized_net(self, tmp_path, formula, dialect):
         digest = self._emit_digest(tmp_path, self._net_args(tmp_path), formula, dialect)
         assert digest == self.GOLDEN[f"net-{formula}-{dialect}"]
+
+    def test_robustness_ball(self, tmp_path):
+        # the ball around (3, 4, 5) narrows every feature of the domain
+        args = [*self._net_args(tmp_path), "--center", "3,4,5", "--epsilon", "1"]
+        digest = self._emit_digest(tmp_path, args, "robustness", "ind_comment")
+        assert digest == self.GOLDEN["net-robustness-ind_comment"]
 
     def test_literal_objects_are_shared(self, tmp_path, monkeypatch):
         # each variable's two literals are one int object each, whatever the

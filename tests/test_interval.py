@@ -25,7 +25,7 @@ from exactml.circuit import Circuit, bound_label, network_logits  # noqa: E402
 from exactml.metrics import count_over, robustness  # noqa: E402
 from exactml.models import eval_model, load_network  # noqa: E402
 from exactml.oracle import enumerate_domain  # noqa: E402
-from exactml.predicates import box_domain, region  # noqa: E402
+from exactml.predicates import region  # noqa: E402
 
 from conftest import (  # noqa: E402
     DIFFERENCE_NET_DOC, DIFFERENCE_NET_RANGES, difference_label, interval_label, logit_bounds,
@@ -125,7 +125,7 @@ def test_a_relu_reads_its_case_from_its_form():
 def test_only_difference_bounds_decide_this_ball():
     dom = make_domain(DIFFERENCE_NET_RANGES, prefix="x")
     net = load_network(DIFFERENCE_NET_DOC, dom)
-    ball = box_domain(dom, region((2, 3), 2, dom).intervals)
+    ball = region((2, 3), 2, dom)
     assert (interval_label(net, ball), bound_label(net, ball)) == (None, 1)
     assert {eval_model(net, p, dom) for p in enumerate_domain(ball)} == {1}
 

@@ -23,7 +23,6 @@ from exactml.models import load_network, load_tree
 from exactml.oracle import brute_learnability, brute_robustness
 from exactml.predicates import (
     SafetyProperty,
-    box_domain,
     builtin_graph_property,
     graph_domain,
     parse_predicate,
@@ -252,7 +251,7 @@ class TestIntervalDecided:
             return metric(*args)
 
     def test_robustness(self, monkeypatch, dom, net):
-        ball = box_domain(dom, region((12, 2), 2, dom).intervals)
+        ball = region((12, 2), 2, dom)
         assert interval_label(net, ball) == 0
         report = robustness(net, (12, 2), 2, dom, count_fn=_never)
         assert (report.correct_count, report.robustness, report.decided_label) == (25, 1, 0)

@@ -204,7 +204,7 @@ class TestRegion:
                 reg = region(center, eps, dom)
                 members = [pt for pt in enumerate_domain(dom) if in_region(reg, pt)]
                 assert len(members) == reg.size()
-                assert sorted(members) == sorted(reg.points())
+                assert sorted(members) == sorted(enumerate_domain(reg))
 
     def test_center_out_of_domain(self):
         dom = make_domain([(0, 3)])
