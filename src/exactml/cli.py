@@ -65,9 +65,24 @@ def _load_model(path: str, domain):
     return models.load_model(_read_json(path), domain)
 
 
+def _predicate_file(arg: str) -> Optional[str]:
+    """Predicate file `arg` without its `#` comment lines; None if `arg` names no file."""
+    try:
+        if not Path(arg).is_file():
+            return None
+    except (OSError, ValueError):  # too long for a file name, or holds a NUL
+        return None
+    return "\n".join(
+        line for line in Path(arg).read_text().splitlines() if not line.lstrip().startswith("#")
+    )
+
+
 def _predicate_from_arg(arg: str, domain, nodes: Optional[int]):
-    """--property value: builtin graph property name, or a predicate file."""
-    if arg.lower() in predicates.GRAPH_PROPERTIES and not Path(arg).exists():
+    """--property value: a predicate file, or a builtin graph property name."""
+    text = _predicate_file(arg)
+    if text is not None:
+        return predicates.parse_predicate(text, domain)
+    if arg.lower() in predicates.GRAPH_PROPERTIES:
         if not nodes:
             raise CliError("builtin graph properties need --nodes")
         if len(domain.features) != nodes * nodes or any(
@@ -78,13 +93,7 @@ def _predicate_from_arg(arg: str, domain, nodes: Optional[int]):
                 f"{nodes * nodes} binary features (got {len(domain.features)})"
             )
         return predicates.builtin_graph_property(arg, nodes)
-    p = Path(arg)
-    if not p.exists():
-        raise CliError(f"no such predicate file or builtin property: {arg}")
-    text = "\n".join(
-        line for line in p.read_text().splitlines() if not line.lstrip().startswith("#")
-    )
-    return predicates.parse_predicate(text, domain)
+    raise CliError(f"no such predicate file or builtin property: {arg}")
 
 
 def _parse_post(arg: str, n_labels: int) -> frozenset:
@@ -182,10 +191,8 @@ def _safety_property(args, domain, n_labels):
         return predicates.load_safety_property(doc, domain, n_labels)
     if args.pre is None or args.post is None:
         raise CliError("need --pre and --post (or --property with a property file)")
-    pre_arg = args.pre
-    if Path(pre_arg).exists():
-        pre_arg = Path(pre_arg).read_text()
-    pre = predicates.parse_predicate(pre_arg, domain)
+    text = _predicate_file(args.pre)
+    pre = predicates.parse_predicate(args.pre if text is None else text, domain)
     return predicates.SafetyProperty(pre, _parse_post(args.post, n_labels))
 
 

@@ -140,6 +140,15 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"forall", "exists", "in", "true", "false"}
 
+# Deepest nesting the parser accepts, counting each open parenthesis or
+# quantifier body, each `!` and each `=>` whose right side is being read.
+# A level costs at most eight frames to parse and ten to evaluate (an
+# implication's `Or`, its `Not`, then `||` and `&&`), so parsing and the
+# recursive walks of a parsed predicate (`evaluate`, `_bounding_box`,
+# `circuit._compile_pred`) need at most about 640 frames, well inside
+# Python's default recursion limit of 1000.
+MAX_NESTING = 64
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -176,6 +185,7 @@ class _Parser:
         self.domain = domain
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -201,6 +211,15 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             self.fail(tok, f"unexpected trailing input {tok.text!r}")
+        return pred
+
+    def nested(self, parse, env) -> Predicate:
+        """`parse(env)` one nesting level deeper; see `MAX_NESTING`."""
+        if self.depth == MAX_NESTING:
+            self.fail(self.peek(), f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        pred = parse(env)
+        self.depth -= 1
         return pred
 
     def parse_pred(self, env) -> Predicate:
@@ -233,10 +252,11 @@ class _Parser:
             self.i = body_start
             child_env = dict(env)
             child_env.update(zip(names, values))
-            children.append(self.parse_pred(child_env))
+            children.append(self.nested(self.parse_pred, child_env))
         if not children:
             self.i = body_start
-            self.parse_pred(dict(env, **{n: 0 for n in names}))  # still syntax-check the body
+            # still syntax-check the body
+            self.nested(self.parse_pred, dict(env, **{n: 0 for n in names}))
             return Const(kind == "forall")
         return And(tuple(children)) if kind == "forall" else Or(tuple(children))
 
@@ -252,8 +272,7 @@ class _Parser:
         left = self.parse_or(env)
         if self.peek().text == "=>":
             self.next()
-            right = self.parse_implies(env)
-            return implies(left, right)
+            return implies(left, self.nested(self.parse_implies, env))
         return left
 
     def parse_or(self, env) -> Predicate:
@@ -273,14 +292,14 @@ class _Parser:
     def parse_not(self, env) -> Predicate:
         if self.peek().text == "!":
             self.next()
-            return Not(self.parse_not(env))
+            return Not(self.nested(self.parse_not, env))
         return self.parse_atom(env)
 
     def parse_atom(self, env) -> Predicate:
         tok = self.peek()
         if tok.text == "(":
             self.next()
-            inner = self.parse_pred(env)
+            inner = self.nested(self.parse_pred, env)
             self.expect(")")
             return inner
         if tok.kind == "ident" and tok.text in ("forall", "exists"):
@@ -493,24 +512,25 @@ class SafetyProperty:
 
 
 def load_safety_property(doc, domain: InputDomain, n_labels: int) -> SafetyProperty:
-    if isinstance(doc, str):
-        import json
-
-        doc = json.loads(doc)
+    """The property of a parsed JSON document: `pre` text and `allow` or `deny` labels."""
     if not isinstance(doc, dict):
         raise ModelError("malformed property document")
     if doc.get("format_version", 1) != 1:
         raise ModelError("unsupported format_version")
-    pre = parse_predicate(doc.get("pre", "true"), domain)
-    if "allow" in doc:
-        allowed = frozenset(doc["allow"])
-    elif "deny" in doc:
-        allowed = frozenset(range(n_labels)) - frozenset(doc["deny"])
-    else:
+    pre = doc.get("pre", "true")
+    if not isinstance(pre, str):
+        raise ModelError("property 'pre' must be predicate text")
+    pre = parse_predicate(pre, domain)
+    key = next((k for k in ("allow", "deny") if k in doc), None)
+    if key is None:
         raise ModelError("property document needs 'allow' or 'deny'")
-    for label in allowed:
+    labels = doc[key]
+    if not isinstance(labels, list):
+        raise ModelError(f"property {key!r} must be a list of labels")
+    for label in labels:
         if isinstance(label, bool) or not isinstance(label, int) or not (0 <= label < n_labels):
             raise ModelError(f"label {label!r} out of range")
+    allowed = frozenset(labels) if key == "allow" else frozenset(range(n_labels)) - set(labels)
     return SafetyProperty(pre, allowed)
 
 

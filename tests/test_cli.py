@@ -12,7 +12,7 @@ from exactml.cnf import parse_dimacs
 from exactml.counter import count_projected
 from exactml.metrics import binary_truth
 from exactml.oracle import brute_count_predicate
-from exactml.predicates import bounding_box, parse_predicate
+from exactml.predicates import MAX_NESTING, PredicateError, bounding_box, parse_predicate
 
 from conftest import (
     XOR_TREE_DOC,
@@ -187,6 +187,77 @@ class TestSafety:
         assert "out of range" in capsys.readouterr().err
 
 
+class TestPredicateInputs:
+    """`--pre` and `--property` read predicate files alike, and a predicate or
+    property document that cannot be used is one `error:` line, not a traceback."""
+
+    PRE = "x0 >= 4 && x1 <= 2"
+
+    @staticmethod
+    def _one_error_line(capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def _report(self, tmp_path, command, *args):
+        out = tmp_path / f"{command}.out"
+        net = _two_feature_net(tmp_path)[:4]
+        assert run([command, *net, *args, "--post", "0", "--out", out]) == 0
+        return out.read_bytes()
+
+    def test_pre_file_may_start_with_a_comment(self, tmp_path):
+        pre = tmp_path / "pre.pred"
+        pre.write_text(f"# the safety box\n{self.PRE}\n")
+        for command, args in (("safety", ["--samples", "20"]), ("emit", ["--formula", "viol"])):
+            want = self._report(tmp_path, command, "--pre", self.PRE, *args)
+            assert self._report(tmp_path, command, "--pre", pre, *args) == want, command
+
+    def test_inline_pre_longer_than_a_file_name(self, tmp_path):
+        pre = " && ".join(["x0 >= 4"] * 40)
+        assert len(pre) == 436
+        assert (self._report(tmp_path, "safety", "--pre", pre)
+                == self._report(tmp_path, "safety", "--pre", "x0 >= 4"))
+
+    @pytest.mark.parametrize("doc", [
+        {"pre": 5, "allow": [1]}, {"pre": "true", "allow": 5}, {"pre": "true", "deny": None},
+    ], ids=["pre-number", "allow-number", "deny-null"])
+    def test_malformed_property_document(self, workdir, capsys, doc):
+        prop = workdir / "prop.json"
+        prop.write_text(json.dumps(doc))
+        code = run(["safety", "--domain", workdir / "bits2.json",
+                    "--model", workdir / "xor_tree.json", "--property", prop])
+        assert code == 1
+        self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("text", [
+        "(" * 300 + "f0 = 1" + ")" * 300, "!" * 5000 + "f0 = 1", " => ".join(["f0 = 1"] * 1001),
+    ], ids=["parentheses", "negations", "implications"])
+    def test_nesting_past_the_limit(self, workdir, capsys, text):
+        pred = workdir / "deep.pred"
+        pred.write_text(text)
+        code = run(["learnability", "--domain", workdir / "bits2.json",
+                    "--model", workdir / "xor_tree.json", "--property", pred])
+        assert code == 1
+        assert f"nesting deeper than {MAX_NESTING} levels" in self._one_error_line(capsys)
+
+    def test_nesting_at_the_limit_is_counted(self, tmp_path):
+        # each level is an implication's left side: Or, Not, then `||` and
+        # `&&`, the deepest walk per level that the parser lets through
+        def nest(levels):
+            return "x0 >= 4" if levels == 0 else f"(x1 = 0 || x0 = 1 && {nest(levels - 1)} => x1 > 5)"
+
+        (tmp_path / "deep.pred").write_text(nest(MAX_NESTING - 1))
+        net = _two_feature_net(tmp_path)[:4]
+        args = [*net, "--property", tmp_path / "deep.pred"]
+        assert run(["learnability", *args, "--out", tmp_path / "learn.json"]) == 0
+        assert run(["oracle", *args, "--diff", tmp_path / "learn.json",
+                    "--out", tmp_path / "oracle.json"]) == 0
+        assert run(["safety", *net, "--pre", nest(MAX_NESTING - 1), "--post", "0",
+                    "--samples", "20", "--out", tmp_path / "safety.json"]) == 0
+        with pytest.raises(PredicateError, match="nesting deeper"):
+            parse_predicate(nest(MAX_NESTING), make_domain([(0, 15), (-8, 7)], prefix="x"))
+
+
 class TestRobustness:
     def test_epsilon_zero(self, workdir):
         out = workdir / "rob0.json"
@@ -299,7 +370,7 @@ class TestEmitCountsLikeMetrics:
         (tmp_path / "truth.pred").write_text(self.TRUTH)
         # the metrics count over Pre's box, emit over the full domain
         box = bounding_box(parse_predicate(self.PRE, domain), domain)
-        assert box != tuple((f.lo, f.hi) for f in domain.features)
+        assert box != domain
 
         args = ["--domain", tmp_path / "domain.json", "--model", tmp_path / "model.json",
                 "--property", tmp_path / "truth.pred", "--pre", self.PRE, "--post", "1",

@@ -4,6 +4,7 @@ from exactml.models import ModelError
 from exactml.oracle import brute_count_predicate, enumerate_domain
 from exactml.predicates import (
     GRAPH_PROPERTIES,
+    MAX_NESTING,
     And,
     CmpConst,
     PredicateError,
@@ -181,6 +182,20 @@ class TestParser:
         for v in range(-5, 6):
             assert eval_predicate(pred, (v,), dom) == (v <= -2 or v == 4)
 
+    @pytest.mark.parametrize("nest", [
+        lambda n: "(" * n + "f0 = 1" + ")" * n,
+        lambda n: "!" * n + "f0 = 1",
+        lambda n: " => ".join(["f0 = 1"] * (n + 1)),
+        lambda n: "".join(f"forall i{k} in [0,1): " for k in range(n)) + "f0 = 1",
+        lambda n: "(" * (n // 2) + "!" * (n - n // 2) + "f0 = 1" + ")" * (n // 2),
+    ], ids=["parentheses", "negations", "implications", "quantifiers", "mixed"])
+    def test_nesting_limit(self, nest):
+        dom = make_domain([(0, 3)])
+        for depth in (1, MAX_NESTING):
+            parse_predicate(nest(depth), dom)
+        with pytest.raises(PredicateError, match=r"position \d+: nesting deeper than"):
+            parse_predicate(nest(MAX_NESTING + 1), dom)
+
 
 class TestRegion:
     def test_interior_point(self):
@@ -232,3 +247,11 @@ class TestSafetyProperty:
         dom = make_domain([(0, 1)])
         with pytest.raises(ModelError):
             load_safety_property({"pre": "true", "allow": [5]}, dom, 2)
+
+    @pytest.mark.parametrize("doc", [
+        {"pre": 5, "allow": [1]}, {"pre": "true", "allow": 5}, {"pre": "true", "deny": None},
+        {"pre": "true", "deny": [5]}, {"pre": "true"}, '{"pre": "true", "allow": [1]}',
+    ])
+    def test_malformed_document(self, doc):
+        with pytest.raises(ModelError):
+            load_safety_property(doc, make_domain([(0, 1)]), 2)
