@@ -12,6 +12,9 @@ constraint wire that every count conjoins onto its root: the CNF stage
 encoder, the table and BDD managers, `partial_evaluate`) visits the wires
 that its roots read through it, in ascending wire order.
 
+`constrain_region` conjoins the ranges of a sub-domain (such as the ball
+from `predicates.region`) onto a root compiled over a wider domain.
+
 Arithmetic (for networks and feature-to-feature comparisons) is two's
 complement with widths chosen from exact interval bounds, so overflow is
 impossible by construction. `bound_label` decides a network's argmax on

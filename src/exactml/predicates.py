@@ -1,10 +1,14 @@
-"""Ground-truth predicates, safety properties and robustness regions.
+"""Ground-truth predicates, safety properties and the boxes metrics count over.
 
 Predicates are finite ASTs over the features of a bounded domain: integer
 comparisons against constants or other features, boolean connectives, and
-bounded quantifiers that are expanded at parse time. The builtin library
-covers the standard relational properties of finite graphs encoded as
-adjacency-matrix bits.
+bounded quantifiers that are expanded at parse time, to at most
+`MAX_NESTING` levels. The builtin library covers the standard relational
+properties of finite graphs encoded as adjacency-matrix bits.
+
+A box is a sub-domain, an `InputDomain` with narrower ranges: `region`
+gives the L-infinity ball around a point and `bounding_box` a box holding
+every point that satisfies a predicate.
 """
 
 from __future__ import annotations
@@ -140,13 +144,11 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"forall", "exists", "in", "true", "false"}
 
-# Deepest nesting the parser accepts, counting each open parenthesis or
-# quantifier body, each `!` and each `=>` whose right side is being read.
-# A level costs at most eight frames to parse and ten to evaluate (an
-# implication's `Or`, its `Not`, then `||` and `&&`), so parsing and the
-# recursive walks of a parsed predicate (`evaluate`, `_bounding_box`,
-# `circuit._compile_pred`) need at most about 640 frames, well inside
-# Python's default recursion limit of 1000.
+# Deepest nesting the parser accepts: each open parenthesis or quantifier
+# body, each `!` and each `=>` whose right side is being read is a level. A
+# level costs at most 8 frames to parse and 10 to evaluate, so parsing and
+# `evaluate`, `_bounding_box` or `circuit._compile_pred` stay within about
+# 640 frames, well inside Python's default recursion limit of 1000.
 MAX_NESTING = 64
 
 
