@@ -240,7 +240,7 @@ class TestPredicateInputs:
         assert code == 1
         assert f"nesting deeper than {MAX_NESTING} levels" in self._one_error_line(capsys)
 
-    def test_nesting_at_the_limit_is_counted(self, tmp_path):
+    def test_deepest_predicate_at_the_limit_runs(self, tmp_path):
         # each level is an implication's left side: Or, Not, then `||` and
         # `&&`, the deepest walk per level that the parser lets through
         def nest(levels):
