@@ -246,13 +246,14 @@ class TestPredicateInputs:
         def nest(levels):
             return "x0 >= 4" if levels == 0 else f"(x1 = 0 || x0 = 1 && {nest(levels - 1)} => x1 > 5)"
 
-        (tmp_path / "deep.pred").write_text(nest(MAX_NESTING - 1))
+        deepest = nest(MAX_NESTING - 1)
+        (tmp_path / "deep.pred").write_text(deepest)
         net = _two_feature_net(tmp_path)[:4]
         args = [*net, "--property", tmp_path / "deep.pred"]
         assert run(["learnability", *args, "--out", tmp_path / "learn.json"]) == 0
         assert run(["oracle", *args, "--diff", tmp_path / "learn.json",
                     "--out", tmp_path / "oracle.json"]) == 0
-        assert run(["safety", *net, "--pre", nest(MAX_NESTING - 1), "--post", "0",
+        assert run(["safety", *net, "--pre", deepest, "--post", "0",
                     "--samples", "20", "--out", tmp_path / "safety.json"]) == 0
         with pytest.raises(PredicateError, match="nesting deeper"):
             parse_predicate(nest(MAX_NESTING), make_domain([(0, 15), (-8, 7)], prefix="x"))
