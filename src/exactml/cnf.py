@@ -6,12 +6,20 @@ topological order. The full biconditional encoding is emitted for every
 gate, never the polarity-reduced form: that is what guarantees that a total
 assignment to the projection variables determines all auxiliaries by unit
 propagation alone, so projected counts equal input counts.
+
+`tseitin` walks the root's cone once and keeps what the walk gives per gate:
+its kind and its literals, in clause order. That record is the formula.
+`emit_dimacs` writes it through one `%` template per gate kind, a few
+thousand gates to a string, so no clause tuple is made on the way to
+DIMACS; the clause tuples that the DPLL, `probe_functional_extension` and
+the tests read are cut from the same record when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import chain, islice
 
 from .circuit import Circuit
 
@@ -37,13 +45,61 @@ class CnfFormula:
             if not 1 <= v <= self.num_vars:
                 raise DimacsError(f"projection variable {v} out of range")
 
+    def _clause_lines(self):
+        """The number of clauses, and their lines a few thousand to a string."""
+        if not all(self.clauses):
+            raise DimacsError("empty clause")
+        return len(self.clauses), _clause_chunks(self.clauses)
 
-def tseitin(circuit: Circuit, root: int) -> CnfFormula:
+
+# Each gate kind's clause lengths. `tseitin` lists a gate's literals clause by
+# clause in this order; `emit_dimacs` formats them through the kind's template
+# and `TseitinFormula.clauses` cuts them at these lengths. A "unit" is a const
+# gate or the unit clause of the root or of the domain wire.
+_CLAUSE_LENGTHS = {
+    "unit": (1,),
+    "not": (2, 2),
+    "and": (2, 2, 3),
+    "or": (2, 2, 3),
+    "xor": (3, 3, 3, 3),
+}
+_GATE_TEMPLATES = {
+    kind: "\n".join(" ".join(["%d"] * n) + " 0" for n in lengths)
+    for kind, lengths in _CLAUSE_LENGTHS.items()
+}
+_GATE_LITERALS = {kind: sum(lengths) for kind, lengths in _CLAUSE_LENGTHS.items()}
+_GATE_CLAUSES = {kind: len(lengths) for kind, lengths in _CLAUSE_LENGTHS.items()}
+
+
+class TseitinFormula(CnfFormula):
+    """A formula as `tseitin`'s walk gave it: `kinds[i]` is the i-th gate's
+    kind and `literals` holds every gate's literals, clause by clause. The
+    clause tuples are cut from `literals` when `clauses` is first read."""
+
+    def __init__(self, num_vars: int, projection: frozenset[int], kinds: list[str],
+                 literals: list[int]):
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "projection", projection)
+        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "literals", literals)
+
+    @cached_property
+    def clauses(self) -> tuple[tuple[int, ...], ...]:
+        rest = iter(self.literals)
+        lengths = _CLAUSE_LENGTHS
+        return tuple(tuple(islice(rest, n)) for kind in self.kinds for n in lengths[kind])
+
+    def _clause_lines(self):
+        kinds = self.kinds
+        return sum(map(_GATE_CLAUSES.__getitem__, kinds)), _gate_chunks(kinds, self.literals)
+
+
+def tseitin(circuit: Circuit, root: int) -> TseitinFormula:
     """CNF for `root` AND the domain-range constraint, projection = input bits.
 
-    One pass over the gates of `Circuit.cone` numbers each gate and emits
-    its clauses: the cone is ascending, so a gate's operands are numbered
-    before it.
+    One pass over the gates of `Circuit.cone` numbers each gate and records
+    its kind and literals: the cone is ascending, so a gate's operands are
+    numbered before it.
     """
     n_inputs = circuit.num_input_bits
     gates = circuit.gates
@@ -53,8 +109,9 @@ def tseitin(circuit: Circuit, root: int) -> CnfFormula:
     # clauses: a fresh `-a` per clause costs an int object each time
     var_of = list(range(1, n_inputs + 1)) + [0] * len(gates)
     neg_of = [-v for v in var_of]
-    clauses: list[tuple[int, ...]] = []
-    add = clauses.append
+    kinds: list[str] = []
+    add_kind = kinds.append
+    lits: list[int] = []
     units = set()
     v = n_inputs
     for w in circuit.cone(targets):
@@ -68,39 +125,31 @@ def tseitin(circuit: Circuit, root: int) -> CnfFormula:
         op = gate[0]
         if op == "const":
             unit = v if gate[1] else nv
-            add((unit,))
+            add_kind("unit")
+            lits.append(unit)
             units.add(unit)
         elif op == "not":
-            add((v, var_of[gate[1]]))
-            add((nv, neg_of[gate[1]]))
+            add_kind(op)
+            lits += (v, var_of[gate[1]], nv, neg_of[gate[1]])
         else:
             a, na = var_of[gate[1]], neg_of[gate[1]]
             b, nb = var_of[gate[2]], neg_of[gate[2]]
+            add_kind(op)
             if op == "and":
-                add((nv, a))
-                add((nv, b))
-                add((v, na, nb))
+                lits += (nv, a, nv, b, v, na, nb)
             elif op == "or":
-                add((v, na))
-                add((v, nb))
-                add((nv, a, b))
+                lits += (v, na, v, nb, nv, a, b)
             else:  # xor
-                add((nv, a, b))
-                add((nv, na, nb))
-                add((v, a, nb))
-                add((v, na, b))
+                lits += (nv, a, b, nv, na, nb, v, a, nb, v, na, b)
 
     for target in targets:
         lit = var_of[target]
         if lit not in units:
-            add((lit,))
+            add_kind("unit")
+            lits.append(lit)
             units.add(lit)
 
-    return CnfFormula(
-        num_vars=v,
-        clauses=tuple(clauses),
-        projection=frozenset(range(1, n_inputs + 1)),
-    )
+    return TseitinFormula(v, frozenset(range(1, n_inputs + 1)), kinds, lits)
 
 
 DIALECTS = ("ind_comment", "pshow_comment")
@@ -110,6 +159,7 @@ DIALECTS = ("ind_comment", "pshow_comment")
 # literal by literal
 _CLAUSE_TEMPLATES = (None,) + tuple(" ".join(["%d"] * n) + " 0" for n in range(1, 5))
 _CHUNK_CLAUSES = 4096
+_CHUNK_GATES = 2048
 
 
 def _clause_chunks(clauses):
@@ -123,13 +173,22 @@ def _clause_chunks(clauses):
             yield "\n".join([" ".join(map(str, c)) + " 0" for c in chunk])
 
 
+def _gate_chunks(kinds, literals):
+    """A Tseitin formula's clause lines, `_CHUNK_GATES` gates to a string."""
+    templates, counts = _GATE_TEMPLATES, _GATE_LITERALS
+    end = 0
+    for i in range(0, len(kinds), _CHUNK_GATES):
+        chunk = kinds[i : i + _CHUNK_GATES]
+        start, end = end, end + sum(map(counts.__getitem__, chunk))
+        yield "\n".join(map(templates.__getitem__, chunk)) % tuple(literals[start:end])
+
+
 def emit_dimacs(cnf: CnfFormula, dialect: str = "ind_comment") -> str:
     """Byte-stable DIMACS text with projection annotations."""
     if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}")
-    if not all(cnf.clauses):
-        raise DimacsError("empty clause")
-    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
+    num_clauses, clause_lines = cnf._clause_lines()
+    lines = [f"p cnf {cnf.num_vars} {num_clauses}"]
     proj = sorted(cnf.projection)
     if dialect == "ind_comment":
         for i in range(0, len(proj), 10):
@@ -143,7 +202,7 @@ def emit_dimacs(cnf: CnfFormula, dialect: str = "ind_comment") -> str:
     # thousands of clauses to a string: one str object per clause would cost
     # more in object headers than its text; the trailing "" ends the text with
     # a newline without copying all of it once more
-    lines.extend(_clause_chunks(cnf.clauses))
+    lines.extend(clause_lines)
     lines.append("")
     return "\n".join(lines)
 

@@ -3,8 +3,9 @@
 Predicates are finite ASTs over the features of a bounded domain: integer
 comparisons against constants or other features, boolean connectives, and
 bounded quantifiers that are expanded at parse time, to at most
-`MAX_NESTING` levels. The builtin library covers the standard relational
-properties of finite graphs encoded as adjacency-matrix bits.
+`MAX_NESTING` levels and `MAX_QUANTIFIER_COPIES` copies of a body. The
+builtin library covers the standard relational properties of finite graphs
+encoded as adjacency-matrix bits.
 
 A box is a sub-domain, an `InputDomain` with narrower ranges: `region`
 gives the L-infinity ball around a point and `bounding_box` a box holding
@@ -151,6 +152,13 @@ _KEYWORDS = {"forall", "exists", "in", "true", "false"}
 # 640 frames, well inside Python's default recursion limit of 1000.
 MAX_NESTING = 64
 
+# Most copies of a quantifier body the parser makes. A quantifier over
+# [lo, hi) with k binders parses its body (hi - lo)**k times for each copy
+# of the body around it, so nested quantifiers multiply. A copy of a
+# three-comparison body takes about 18 us to parse (CPython 3.11, 2-core
+# x86-64 VM), so the limit bounds the expansion to about 2 s.
+MAX_QUANTIFIER_COPIES = 100_000
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -188,6 +196,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.copies = 1  # copies of the current quantifier body
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -231,7 +240,8 @@ class _Parser:
         return self.parse_implies(env)
 
     def parse_quant(self, env) -> Predicate:
-        kind = self.next().text
+        kind_tok = self.next()
+        kind = kind_tok.text
         names = [self.parse_binder(env)]
         while self.peek().text == ",":
             self.next()
@@ -248,6 +258,12 @@ class _Parser:
         self.expect(")")
         self.expect(":")
         lo, hi = int(lo_tok.text), int(hi_tok.text)
+        # an empty range parses its body once, to check its syntax
+        copies = self.copies * max(max(hi - lo, 0) ** len(names), 1)
+        if copies > MAX_QUANTIFIER_COPIES:
+            self.fail(kind_tok, f"quantifiers expand to more than {MAX_QUANTIFIER_COPIES} "
+                                f"copies of this body")
+        outer, self.copies = self.copies, copies
         body_start = self.i
         children = []
         for values in itertools.product(range(lo, hi), repeat=len(names)):
@@ -255,12 +271,14 @@ class _Parser:
             child_env = dict(env)
             child_env.update(zip(names, values))
             children.append(self.nested(self.parse_pred, child_env))
-        if not children:
+        if children:
+            pred = And(tuple(children)) if kind == "forall" else Or(tuple(children))
+        else:
             self.i = body_start
-            # still syntax-check the body
             self.nested(self.parse_pred, dict(env, **{n: 0 for n in names}))
-            return Const(kind == "forall")
-        return And(tuple(children)) if kind == "forall" else Or(tuple(children))
+            pred = Const(kind == "forall")
+        self.copies = outer
+        return pred
 
     def parse_binder(self, env) -> str:
         tok = self.next()

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -8,11 +10,17 @@ import pytest
 import exactml.cnf
 import exactml.metrics
 from exactml.cli import main
-from exactml.cnf import parse_dimacs
+from exactml.cnf import CnfFormula, emit_dimacs, parse_dimacs
 from exactml.counter import count_projected
 from exactml.metrics import binary_truth
 from exactml.oracle import brute_count_predicate
-from exactml.predicates import MAX_NESTING, PredicateError, bounding_box, parse_predicate
+from exactml.predicates import (
+    MAX_NESTING,
+    MAX_QUANTIFIER_COPIES,
+    PredicateError,
+    bounding_box,
+    parse_predicate,
+)
 
 from conftest import (
     XOR_TREE_DOC,
@@ -239,6 +247,20 @@ class TestPredicateInputs:
                     "--model", workdir / "xor_tree.json", "--property", pred])
         assert code == 1
         assert f"nesting deeper than {MAX_NESTING} levels" in self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("text", [
+        "".join(f"forall i{k} in [0, 2): " for k in range(MAX_NESTING)) + "f0 = 1",
+        "forall i in [0, 1000000): f0 = 1",
+    ], ids=["nested", "wide"])
+    def test_quantifier_expansion_past_the_limit(self, workdir, capsys, text):
+        pred = workdir / "quantified.pred"
+        pred.write_text(text)
+        started = time.perf_counter()
+        code = run(["learnability", "--domain", workdir / "bits2.json",
+                    "--model", workdir / "xor_tree.json", "--property", pred])
+        assert time.perf_counter() - started < 1
+        assert code == 1
+        assert f"more than {MAX_QUANTIFIER_COPIES} copies" in self._one_error_line(capsys)
 
     def test_deepest_predicate_at_the_limit_runs(self, tmp_path):
         # each level is an implication's left side: Or, Not, then `||` and
@@ -711,6 +733,32 @@ class TestGoldenDimacs:
         digest = self._emit_digest(tmp_path, self._net_args(tmp_path), formula, "ind_comment")
         assert digest == self.GOLDEN[f"net-{formula}-ind_comment"]
         assert freed == [True]
+
+    @pytest.mark.parametrize("formula", ["model:1", "viol"])
+    def test_writing_from_the_gates_peaks_below_the_clause_tuples(self, tmp_path, monkeypatch, formula):
+        # the text is formatted from each gate's kind and literals; the clause
+        # tuples that the DPLL reads are not made on the way
+        encoded = []
+        tseitin = exactml.cnf.tseitin
+        monkeypatch.setattr(exactml.cnf, "tseitin", lambda *a: encoded.append(a) or tseitin(*a))
+        self._emit_digest(tmp_path, self._net_args(tmp_path), formula, "ind_comment")
+        ((circuit, root),) = encoded
+
+        def peak(write):
+            tracemalloc.start()
+            try:
+                return write(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def from_tuples():
+            f = tseitin(circuit, root)
+            return emit_dimacs(CnfFormula(f.num_vars, f.clauses, f.projection))
+
+        text, gates_peak = peak(lambda: emit_dimacs(tseitin(circuit, root)))
+        same, tuples_peak = peak(from_tuples)
+        assert text == same
+        assert gates_peak < tuples_peak
 
     def test_graph3_tree(self, workdir):
         args = ["--domain", "graph3", "--model", workdir / "reflexive_tree.json",

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from exactml.circuit import Circuit, compile_predicate, compile_tree
-from exactml.cnf import CnfFormula, DimacsError, emit_dimacs, parse_dimacs, tseitin
+import exactml.cnf
+from exactml.circuit import Circuit, compile_model, compile_predicate, compile_tree, compose_metric
+from exactml.cnf import DIALECTS, CnfFormula, DimacsError, emit_dimacs, parse_dimacs, tseitin
 from exactml.counter import count_projected, probe_functional_extension
 from exactml.oracle import enumerate_domain
-from exactml.predicates import builtin_graph_property, graph_domain
+from exactml.predicates import GRAPH_PROPERTIES, builtin_graph_property, graph_domain
 
-from conftest import make_domain, random_predicate
+from conftest import make_domain, random_network, random_predicate, random_tree
 
 
 def _point_to_assignment(circuit, pt):
@@ -231,3 +232,62 @@ class TestDimacsTemplates:
                 assert wrong is None and len(text) == len(expected), (long_from, dialect, wrong)
                 g = parse_dimacs(text)
                 assert (g.num_vars, g.clauses, g.projection) == (f.num_vars, f.clauses, f.projection)
+
+
+class TestGateTemplates:
+    """`emit_dimacs` writes a Tseitin formula one template per gate; its text
+    must be the one the formula's clause tuples give, as a parsed formula's do."""
+
+    @staticmethod
+    def _check(c, root):
+        f = tseitin(c, root)
+        tuples = CnfFormula(f.num_vars, f.clauses, f.projection)
+        for dialect in DIALECTS:
+            assert emit_dimacs(f, dialect) == emit_dimacs(tuples, dialect)
+        return f
+
+    def test_trees(self):
+        rng = random.Random(1801)
+        dom = make_domain([(0, 5), (-3, 4), (0, 12)])
+        for _ in range(5):
+            c = compile_tree(random_tree(rng, dom, num_labels=3), dom)
+            truth = compile_predicate(c, random_predicate(rng, dom, depth=3), "t")
+            for label in range(3):
+                self._check(c, c.output(f"model_{label}"))
+                self._check(c, c.and_(c.output(f"model_{label}"), c.not_(truth)))
+
+    def test_nets_with_zero_to_two_hidden_layers(self):
+        rng = random.Random(1802)
+        dom = make_domain([(0, 63)] * 4)
+        gates = []
+        for hidden in ((), (4,), (4, 3)):
+            c = compile_model(random_network(rng, dom, hidden=hidden, weight_range=7), dom)
+            for label in range(2):
+                gates.append(len(self._check(c, c.output(f"model_{label}")).kinds))
+        # the widest net's roots take more than one chunk of gates
+        assert max(gates) > exactml.cnf._CHUNK_GATES
+
+    def test_graph_properties(self):
+        dom = graph_domain(3)
+        c = compile_tree(random_tree(random.Random(1803), dom), dom)
+        for name in GRAPH_PROPERTIES:
+            self._check(c, compile_predicate(c, builtin_graph_property(name, 3), "t"))
+        c.set_output("truth_1", compile_predicate(c, builtin_graph_property("transitive", 3), "t"))
+        for kind in ("tp", "fp", "tn", "fn"):
+            self._check(c, compose_metric(c, 1, kind))
+
+    def test_edge_cases(self):
+        dom = make_domain([(0, 2), (0, 4)])
+        c = Circuit(dom)
+        for root in (c.const(True), c.const(False), c.input_bit(1, 0), c.not_(c.input_bit(0, 1))):
+            self._check(c, root)
+        # the root's unit clause is the domain wire's, written once
+        f = self._check(c, c.domain_wire)
+        assert f.clauses.count((f.num_vars,)) == 1
+        # no input bits: "c ind 0" and "c p show 0"
+        empty = Circuit(make_domain([(3, 3), (7, 7)]))
+        self._check(empty, empty.const(True))
+        # 13 projection variables: a "c ind" line of ten and one of three
+        wide = Circuit(make_domain([(0, 127), (0, 63)]))
+        f = self._check(wide, wide.or_(wide.input_bit(0, 6), wide.input_bit(1, 5)))
+        assert emit_dimacs(f).splitlines()[1:3] == ["c ind 1 2 3 4 5 6 7 8 9 10 0", "c ind 11 12 13 0"]

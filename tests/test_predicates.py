@@ -1,5 +1,6 @@
 import pytest
 
+import exactml.predicates
 from exactml.models import ModelError
 from exactml.oracle import brute_count_predicate, enumerate_domain
 from exactml.predicates import (
@@ -195,6 +196,22 @@ class TestParser:
             parse_predicate(nest(depth), dom)
         with pytest.raises(PredicateError, match=r"position \d+: nesting deeper than"):
             parse_predicate(nest(MAX_NESTING + 1), dom)
+
+    def test_quantifier_copies_limit(self, monkeypatch):
+        monkeypatch.setattr(exactml.predicates, "MAX_QUANTIFIER_COPIES", 12)
+        dom = make_domain([(0, 3)])
+        # nested ranges multiply (2 * 3 * 2 = 12 copies), and so do binders
+        # (two over [0, 2) make 4); quantifiers side by side do not
+        for text in ("forall i in [0, 2): forall j in [0, 3): exists k in [0, 2): f0 != k",
+                     "forall i, j in [0, 2): forall k in [0, 3): f0 != k",
+                     "forall i in [0, 2): (forall j in [0, 6): f0 != j) && exists k in [0, 6): f0 = k"):
+            parse_predicate(text, dom)
+        # an empty range still parses its body once
+        for text, pos in (("forall i in [0, 13): f0 != i", 0),
+                          ("forall i, j in [0, 2): forall k in [0, 4): f0 != k", 23),
+                          ("forall i in [0, 2): forall j in [0, 0): forall k in [0, 7): f0 != k", 40)):
+            with pytest.raises(PredicateError, match=f"position {pos}: quantifiers expand to more than 12"):
+                parse_predicate(text, dom)
 
 
 class TestRegion:
