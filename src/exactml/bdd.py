@@ -31,6 +31,13 @@ BDD details:
 - Nodes live in flat lists; node 0 is false, node 1 is true, and both sit at
   level `num_vars`, below every variable. The unique table is keyed by the
   packed integer (level, low, high).
+- `apply` is Bryant's apply as one flat loop over a stack of plain ints:
+  each frame is an operand pair or a finish (the pair's top level and cache
+  key). Each op's terminal cases come from a small table (`_TERMINAL`), the
+  low cofactors' pair is taken at once rather than pushed, and the finish
+  does `_mk`'s unique-table lookup and node creation in place. It makes the
+  nodes the recursive apply makes, in the same order, so the budget runs
+  out at the same node.
 - The apply cache lives for one gate, so its memory is bounded by the
   largest single gate.
 - Now and then the manager frees the nodes no remaining wire reaches.
@@ -77,6 +84,16 @@ _SHIFT = 32  # node ids fit in 32 bits long before memory runs out
 
 AND, OR, XOR = 0, 1, 2
 _OPS = {"and": AND, "or": OR, "xor": XOR}
+
+# `apply`'s terminal cases of `f op g` with f <= g, per op: the result when f
+# is false, when f is true and when f is g. _OTHER means g itself, None that
+# the pair is not terminal (XOR with true recurses to negate g).
+_OTHER = -1
+_TERMINAL = {
+    AND: (0, _OTHER, _OTHER),
+    OR: (_OTHER, 1, _OTHER),
+    XOR: (_OTHER, None, 0),
+}
 
 
 class NodeBudgetExceeded(Exception):
@@ -286,44 +303,68 @@ class BddManager(_WireCompiler):
 
     def apply(self, op: int, f: int, g: int) -> int:
         """The node of `f op g`; op is AND, OR or XOR."""
-        level, low, high, mk = self.level, self.low, self.high, self._mk
+        level, low, high = self.level, self.low, self.high
+        unique, free, budget, size = self.unique, self.free, self.budget, self.size
+        on_false, on_true, on_equal = _TERMINAL[op]
         memo: dict[int, int] = {}  # the apply cache, one gate long
         results: list[int] = []
-        stack: list[tuple] = [(f, g)]
-        while stack:
-            frame = stack.pop()
-            if len(frame) == 2:
-                f, g = frame
-                if f <= 1 or g <= 1 or f == g:
-                    if op == AND:
-                        results.append(0 if f == 0 or g == 0 else g if f == 1 else f)
-                        continue
-                    if op == OR:
-                        results.append(1 if f == 1 or g == 1 else g if f == 0 else f)
-                        continue
-                    if f == g or f == 0 or g == 0:  # XOR with true recurses
-                        results.append(0 if f == g else g if f == 0 else f)
-                        continue
-                if f > g:
-                    f, g = g, f
-                key = (f << _SHIFT) | g
-                node = memo.get(key)
-                if node is not None:
-                    results.append(node)
+        # frames, top last: a pair is `g, f`; a finish is `top level, ~cache key`
+        stack = [g, f]
+        try:
+            while stack:
+                f = stack.pop()
+                if f < 0:
+                    # finish: make the node of the pair's two cofactors, as `_mk` does
+                    key = ~f
+                    top = stack.pop()
+                    hi = results.pop()
+                    lo = node = results[-1]
+                    if lo != hi:
+                        ukey = (((top << _SHIFT) | lo) << _SHIFT) | hi
+                        node = unique.get(ukey)
+                        if node is None:
+                            if size >= budget:
+                                raise NodeBudgetExceeded()
+                            size += 1
+                            if free:
+                                node = free.pop()
+                                level[node], low[node], high[node] = top, lo, hi
+                            else:
+                                node = len(level)
+                                level.append(top)
+                                low.append(lo)
+                                high.append(hi)
+                            unique[ukey] = node
+                    memo[key] = results[-1] = node
                     continue
-                lf, lg = level[f], level[g]
-                top = lf if lf < lg else lg
-                f0, f1 = (low[f], high[f]) if lf == top else (f, f)
-                g0, g1 = (low[g], high[g]) if lg == top else (g, g)
-                stack.append((key, top, None))
-                stack.append((f1, g1))
-                stack.append((f0, g0))
-            else:
-                key, top, _ = frame
-                hi = results.pop()
-                node = mk(top, results.pop(), hi)
-                memo[key] = node
-                results.append(node)
+                g = stack.pop()
+                # descend: the low cofactors' pair would be the next frame popped
+                while True:
+                    if f > g:
+                        f, g = g, f
+                    if f == g or f <= 1:
+                        r = on_equal if f == g else on_true if f else on_false
+                        if r is not None:
+                            results.append(g if r == _OTHER else r)
+                            break
+                    key = (f << _SHIFT) | g
+                    node = memo.get(key)
+                    if node is not None:
+                        results.append(node)
+                        break
+                    lf, lg = level[f], level[g]
+                    # the finish, then the high cofactors' pair
+                    if lf == lg:
+                        stack.extend((lf, ~key, high[g], high[f]))
+                        f, g = low[f], low[g]
+                    elif lf < lg:
+                        stack.extend((lf, ~key, g, high[f]))
+                        f = low[f]
+                    else:
+                        stack.extend((lg, ~key, high[g], f))
+                        g = low[g]
+        finally:
+            self.size = size
         return results[0]
 
     def _reach(self, nodes: Iterable[int]) -> set[int]:

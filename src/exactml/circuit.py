@@ -15,6 +15,12 @@ that its roots read through it, in ascending wire order.
 `constrain_region` conjoins the ranges of a sub-domain (such as the ball
 from `predicates.region`) onto a root compiled over a wider domain.
 
+`compile_predicate` validates and compiles each predicate object once per
+circuit, keyed by identity, and a negation's operand is such an object, so
+a binary problem's truths `Not(T)` and `T` walk `T` once. Hash-consing
+gives a second walk the same wires, so this saves time and leaves the
+gates as they are.
+
 Arithmetic (for networks and feature-to-feature comparisons) is two's
 complement with widths chosen from exact interval bounds, so overflow is
 impossible by construction. `bound_label` decides a network's argmax on
@@ -86,6 +92,8 @@ class Circuit:
         self._cache: dict[tuple, int] = {}
         self._neg: dict[int, int] = {}
         self._consts: dict[int, bool] = {}  # const wire -> value; two at most
+        # id(predicate) -> (predicate, wire); holding the object keeps its id unique
+        self._predicates: dict[int, tuple[Predicate, int]] = {}
         self.domain_wire = self._build_domain_constraint()
 
     # -- gate construction -------------------------------------------------
@@ -561,11 +569,28 @@ def compile_model(model: Model, domain: InputDomain) -> Circuit:
 # ---------------------------------------------------------------------------
 
 def compile_predicate(circuit: Circuit, pred: Predicate, name: Optional[str] = None) -> int:
-    """Compile a predicate into an existing circuit; returns its root wire."""
-    P.validate_predicate(pred, circuit.domain)
-    wire = _compile_pred(circuit, pred)
+    """Compile a predicate into an existing circuit; returns its root wire.
+
+    Each predicate object is validated and compiled once per circuit, and a
+    negation's operand counts as such an object: after `Not(T)`, compiling
+    `T` returns its wire without another walk.
+    """
+    wire = _predicate_wire(circuit, pred)
     if name is not None:
         circuit.set_output(name, wire)
+    return wire
+
+
+def _predicate_wire(c: Circuit, pred: Predicate) -> int:
+    known = c._predicates.get(id(pred))
+    if known is not None:
+        return known[1]
+    if isinstance(pred, P.Not):
+        wire = c.not_(_predicate_wire(c, pred.child))
+    else:
+        P.validate_predicate(pred, c.domain)
+        wire = _compile_pred(c, pred)
+    c._predicates[id(pred)] = (pred, wire)
     return wire
 
 

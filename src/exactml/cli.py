@@ -418,6 +418,12 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parser().parse_args(_join_negative_values(list(argv)))
+    # argparse reads `--opt=--` as an empty list before Python 3.13 and as
+    # "--" from 3.13 on; neither is a value any option takes
+    for name, value in vars(args).items():
+        if isinstance(value, list) or value == "--":
+            print(f"error: bad --{name} value '--'", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     if args.budget <= 0:
         print("error: --budget must be positive", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 
@@ -70,11 +71,16 @@ class InputDomain:
     def bit_width(self) -> int:
         return sum(f.bit_width for f in self.features)
 
-    def index_of(self, name: str) -> int:
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        index: dict[str, int] = {}
         for i, f in enumerate(self.features):
-            if f.name == name:
-                return i
-        raise KeyError(name)
+            index.setdefault(f.name, i)  # the first feature of a name wins
+        return index
+
+    def index_of(self, name: str) -> int:
+        """The position of the feature named `name`; KeyError if there is none."""
+        return self._index[name]
 
     def check_point(self, point: Sequence[int]) -> None:
         if len(point) != len(self.features):

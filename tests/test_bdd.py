@@ -1,5 +1,7 @@
 """ROBDD counting: the manager, bounding boxes and deep domains."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,11 +9,13 @@ import pytest
 import exactml.bdd
 import exactml.counter
 from exactml.bdd import XOR, BddManager, CircuitRoot, TableManager, count_roots, variable_order
-from exactml.circuit import Circuit, compile_predicate
+from exactml.circuit import Circuit, compile_model, compile_predicate
 from exactml.cnf import tseitin
 from exactml.counter import count_projected
 from exactml.metrics import (
+    binary_truth,
     learnability,
+    learnability_roots,
     robustness,
     safety,
     safety_to_document,
@@ -32,7 +36,7 @@ from exactml.predicates import (
     parse_predicate,
 )
 
-from conftest import constant_tree_doc, make_domain, random_network, truth_family
+from conftest import constant_tree_doc, make_domain, random_network, random_tree, truth_family
 
 DPLL = tseitin_count_fn(count_projected)
 
@@ -213,6 +217,41 @@ def test_a_table_bit_is_the_wire_at_that_point():
         p = sum((v - f.lo) << off for v, f, off in zip(point, dom.features, circ.offsets))
         values = circ.simulate(point)
         assert {w: (t >> p) & 1 for w, t in tables.items()} == {w: int(values[w]) for w in tables}
+
+
+@pytest.mark.parametrize(
+    "budget, digest, size, exhausted",
+    [
+        (12_000, "7dc98bd229cd6054002d42fa7eda77b061eaa38f79a340b9551d181a21d3b7c8", 12_000, [True] * 8),
+        (60_000, "231436dafb659dc2d76da9f931977a70afb3501982cd6d09487b2c9788e6bff7", 60_000,
+         [False] * 2 + [True] * 6),
+        (3_000_000, "302d614d6e3e41e143965eca9467aa15649c7c9d4d613280d1a75df228c8753f", 68_791,
+         [False] * 8),
+    ],
+    ids=["exhausts", "partial", "counts"],
+)
+def test_the_manager_makes_the_same_nodes_in_the_same_order(budget, digest, size, exhausted):
+    """Pins every node slot, in creation and reuse order, and the budget unit of each stop.
+
+    The learnability roots of a seeded depth-6 tree against graph5
+    `transitive` spend 68,791 nodes over six collections, so the reuse of
+    freed slots is pinned too. The digests were taken before `apply` was
+    rewritten as one flat loop.
+    """
+    dom = graph_domain(5)
+    circ = compile_model(random_tree(random.Random(1), dom, max_depth=6), dom)
+    roots = learnability_roots(circ, binary_truth(builtin_graph_property("transitive", 5)))
+    wires = list(dict.fromkeys(w for w in roots.values() if circ.const_value(w) is None))
+    manager = BddManager(circ, budget, keep=(*wires, circ.domain_wire))
+    results = [CircuitRoot(manager, w).count() for w in wires]
+    state = [manager.level, manager.low, manager.high, manager.size, [r.exhausted for r in results]]
+    assert (manager.size, state[-1]) == (size, exhausted)
+    assert hashlib.sha256(json.dumps(state).encode()).hexdigest() == digest
+    if not any(exhausted):
+        # the four cells of label 1 cover the domain
+        counts = dict(zip(wires, (r.count for r in results)))
+        cells = [counts[roots[f"{kind}:1"]] for kind in ("tp", "fn", "fp", "tn")]
+        assert sum(cells) == dom.size()
 
 
 class TestDeepDomains:

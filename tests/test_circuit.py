@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import exactml.circuit
+import exactml.predicates
 from exactml.circuit import (
     Circuit,
     WidthOverflowError,
@@ -17,6 +19,7 @@ from exactml.models import eval_model, load_network, load_tree
 from exactml.oracle import enumerate_domain
 from exactml.predicates import (
     Const,
+    Not,
     builtin_graph_property,
     graph_domain,
     parse_predicate,
@@ -198,6 +201,36 @@ class TestCompilePredicate:
             w = compile_predicate(c, pred, "t")
             for pt in enumerate_domain(dom):
                 assert c.simulate(pt)[w] == pred.evaluate(pt), (text, pt)
+
+    @pytest.mark.parametrize("kind", ["transitive", "random"])
+    def test_a_negation_and_then_its_operand_walk_the_operand_once(self, monkeypatch, kind):
+        # a binary problem's truths, in the order learnability compiles them
+        dom = graph_domain(3)
+        rng = random.Random(7)
+        truth = (builtin_graph_property("transitive", 3) if kind == "transitive"
+                 else random_predicate(rng, dom, depth=3))
+        tree = random_tree(rng, dom)
+
+        def compiled(forget):
+            c = compile_tree(tree, dom)
+            negated = compile_predicate(c, Not(truth), "truth_0")
+            if forget:
+                c._predicates.clear()  # T compiled anew, as a separate compile does
+            return c, negated, compile_predicate(c, truth, "truth_1")
+
+        separate, separate_not, separate_t = compiled(forget=True)
+        validated, walked = [], []
+        validate, walk = exactml.predicates.validate_predicate, exactml.circuit._compile_pred
+        monkeypatch.setattr(exactml.predicates, "validate_predicate",
+                            lambda p, d: validated.append(p) or validate(p, d))
+        monkeypatch.setattr(exactml.circuit, "_compile_pred", lambda c, p: walked.append(p) or walk(c, p))
+        c, negated, t = compiled(forget=False)
+        # another negation of the same object reuses its wire too
+        assert compile_predicate(c, Not(truth)) == negated
+        assert [p is truth for p in validated] == [True]
+        assert sum(p is truth for p in walked) == 1
+        assert c.gates == separate.gates
+        assert (negated, t) == (separate_not, separate_t) == (c.not_(t), t)
 
 
 class TestComposeMetric:

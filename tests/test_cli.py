@@ -280,6 +280,18 @@ class TestPredicateInputs:
         with pytest.raises(PredicateError, match="nesting deeper"):
             parse_predicate(nest(MAX_NESTING), make_domain([(0, 15), (-8, 7)], prefix="x"))
 
+    @pytest.mark.parametrize("option", ["--domain", "--pre", "--post", "--out"])
+    def test_double_dash_as_a_value(self, workdir, capsys, option):
+        # before Python 3.13 argparse reads `--opt=--` as an empty list, which
+        # ended in a traceback in the predicate reader and the `--post` parser;
+        # from 3.13 on it is "--", and every version gives the same error
+        values = {"--domain": workdir / "bits2.json", "--pre": "f0 = 1", "--post": "1"}
+        values[option] = "--"
+        code = run(["safety", "--model", workdir / "xor_tree.json",
+                    *(f"{name}={value}" for name, value in values.items())])
+        assert code == 1
+        assert self._one_error_line(capsys) == f"error: bad {option} value '--'\n"
+
 
 class TestRobustness:
     def test_epsilon_zero(self, workdir):

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from exactml.models import (
+    FeatureSpec,
+    InputDomain,
     ModelError,
     eval_model,
     load_domain,
@@ -54,6 +56,16 @@ class TestDomain:
     def test_point_feature_allowed(self):
         dom = make_domain([(7, 7), (0, 1)])
         assert dom.size() == 2
+
+    def test_index_of(self):
+        # a domain built in code may repeat a name; its first feature wins
+        dom = InputDomain(tuple(FeatureSpec(n, 0, 1) for n in ("a", "b", "a", "c")))
+        assert [dom.index_of(n) for n in ("a", "b", "c")] == [0, 1, 3]
+        with pytest.raises(KeyError, match="'d'"):
+            dom.index_of("d")
+        # the index is not a field: equality, hashing and repr read the features only
+        twin = InputDomain(dom.features)
+        assert dom == twin and hash(dom) == hash(twin) and repr(dom) == repr(twin)
 
 
 class TestTree:
