@@ -21,7 +21,7 @@ Shared by both (`_WireCompiler`):
 - One budget, shared by all the roots counted through a manager: every BDD
   node the manager creates (freed or not) or every truth table (an input
   bit's or a gate's) is one unit. Exceeding it raises `NodeBudgetExceeded`,
-  which `CircuitRoot.count` reports as an exhausted `CountResult`.
+  which `CircuitRoot.count` reports as a `CountResult` whose count is None.
 
 BDD details:
 
@@ -416,11 +416,11 @@ class CircuitRoot:
         manager = self.manager
         start = time.perf_counter()
         try:
-            count, exhausted = manager.models(self.wire), False
+            count = manager.models(self.wire)
         except NodeBudgetExceeded:
-            count, exhausted = None, True
+            count = None
         stats = {manager.unit: manager.size, "wall_time": time.perf_counter() - start}
-        return CountResult(count, manager.method, stats, exhausted)
+        return CountResult(count, manager.method, stats)
 
 
 def count_roots(

@@ -2,8 +2,8 @@
 
 One command per metric plus DIMACS export and the brute-force oracle.
 Identical configuration and inputs produce byte-identical report and DIMACS
-files. Exit codes: 0 success, 1 input error, 2 counter budget exhausted,
-3 oracle mismatch.
+files. Exit codes: 0 success, 1 input error, 2 a count ran out of budget
+(the report has gaps), 3 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -158,17 +158,22 @@ def _truth_predicates(args, domain, n_labels):
     return metrics_mod.binary_truth(pred)
 
 
-def _maybe_baseline(args, doc, report, model, domain, **kwargs) -> None:
+def _finish(args, report, to_document, model, domain, **baseline) -> int:
+    """Write the report's document, with the statistical baseline that
+    `--samples` asks for, and return the exit code: 2 if it has gaps."""
+    doc = to_document(report)
     if args.samples:
         est = metrics_mod.statistical_baseline(
             model, domain, n_samples=args.samples, seed=args.seed,
-            decided_label=report.decided_label, **kwargs
+            decided_label=report.decided_label, **baseline
         )
         doc["statistical_baseline"] = {
             "n_samples": args.samples,
             "seed": args.seed,
             "estimate": metrics_mod.render_fraction(est),
         }
+    _write_output(doc, args.out)
+    return EXIT_BUDGET if report.gaps else EXIT_OK
 
 
 def cmd_learnability(args) -> int:
@@ -177,12 +182,8 @@ def cmd_learnability(args) -> int:
     truth = _truth_predicates(args, domain, model.num_labels)
     count_fn = _make_count_fn(args.backend, args.budget, args.dialect)
     report = metrics_mod.learnability(model, truth, domain, count_fn=count_fn)
-    doc = metrics_mod.metrics_to_document(report)
-    _maybe_baseline(
-        args, doc, report, model, domain, kind="learnability_accuracy", truth_predicates=truth
-    )
-    _write_output(doc, args.out)
-    return EXIT_BUDGET if report.gaps else EXIT_OK
+    return _finish(args, report, metrics_mod.metrics_to_document, model, domain,
+                   kind="learnability_accuracy", truth_predicates=truth)
 
 
 def _safety_property(args, domain, n_labels):
@@ -202,10 +203,8 @@ def cmd_safety(args) -> int:
     prop = _safety_property(args, domain, model.num_labels)
     count_fn = _make_count_fn(args.backend, args.budget, args.dialect)
     report = metrics_mod.safety(model, prop, domain, count_fn=count_fn)
-    doc = metrics_mod.safety_to_document(report)
-    _maybe_baseline(args, doc, report, model, domain, kind="safety_accuracy", prop=prop)
-    _write_output(doc, args.out)
-    return EXIT_BUDGET if report.gaps else EXIT_OK
+    return _finish(args, report, metrics_mod.safety_to_document, model, domain,
+                   kind="safety_accuracy", prop=prop)
 
 
 def _parse_center(arg: Optional[str]) -> tuple[int, ...]:
@@ -223,12 +222,8 @@ def cmd_robustness(args) -> int:
     center = _parse_center(args.center)
     count_fn = _make_count_fn(args.backend, args.budget, args.dialect)
     report = metrics_mod.robustness(model, center, args.epsilon, domain, count_fn=count_fn)
-    doc = metrics_mod.robustness_to_document(report)
-    _maybe_baseline(
-        args, doc, report, model, domain, kind="robustness", center=center, epsilon=args.epsilon
-    )
-    _write_output(doc, args.out)
-    return EXIT_BUDGET if report.gaps else EXIT_OK
+    return _finish(args, report, metrics_mod.robustness_to_document, model, domain,
+                   kind="robustness", center=center, epsilon=args.epsilon)
 
 
 _FORMULA_RE = re.compile(r"^(?:(model|truth|tp|fp|tn|fn):(\d+)|(pre|sat|viol|robustness))$")
@@ -293,6 +288,14 @@ def cmd_oracle(args) -> int:
         if kind != "learnability":
             raise CliError(f"--diff takes a learnability report, got report kind {kind!r} "
                            f"from {args.diff}")
+        entries = prior.get("labels", [])
+        if not isinstance(entries, list) or not all(
+            isinstance(entry, dict) and type(entry.get("label")) is int
+            and 0 <= entry["label"] < model.num_labels
+            for entry in entries
+        ):
+            raise CliError(f"--diff {args.diff}: labels must be a list of objects, each with "
+                           f"an integer label of the model (0..{model.num_labels - 1})")
     try:
         report = oracle.brute_learnability(model, truth, domain, cap=args.cap)
     except oracle.OracleCapError as exc:
@@ -311,7 +314,7 @@ def cmd_oracle(args) -> int:
     }
     _write_output(doc, args.out)
     if prior is not None:
-        for entry in prior.get("labels", []):
+        for entry in entries:
             label = entry["label"]
             for kind in ("tp", "fp", "tn", "fn"):
                 want = report.counts[(label, kind)]

@@ -12,14 +12,15 @@ its kind and its literals, in clause order. That record is the formula.
 `emit_dimacs` writes it through one `%` template per gate kind, a few
 thousand gates to a string, so no clause tuple is made on the way to
 DIMACS; the clause tuples that the DPLL, `probe_functional_extension` and
-the tests read are cut from the same record when first read.
+the tests read are cut from the same record when first read. Any other
+`CnfFormula` (one read by `parse_dimacs`) is written a clause per line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 
 from .circuit import Circuit
 
@@ -46,10 +47,10 @@ class CnfFormula:
                 raise DimacsError(f"projection variable {v} out of range")
 
     def _clause_lines(self):
-        """The number of clauses, and their lines a few thousand to a string."""
+        """The number of clauses, and their lines."""
         if not all(self.clauses):
             raise DimacsError("empty clause")
-        return len(self.clauses), _clause_chunks(self.clauses)
+        return len(self.clauses), (" ".join(map(str, c)) + " 0" for c in self.clauses)
 
 
 # Each gate kind's clause lengths. `tseitin` lists a gate's literals clause by
@@ -154,23 +155,7 @@ def tseitin(circuit: Circuit, root: int) -> TseitinFormula:
 
 DIALECTS = ("ind_comment", "pshow_comment")
 
-# "%d ... 0" for clauses of 1-4 literals, indexed by length; every Tseitin
-# clause fits, and a chunk with a longer one (parsed foreign CNF) is joined
-# literal by literal
-_CLAUSE_TEMPLATES = (None,) + tuple(" ".join(["%d"] * n) + " 0" for n in range(1, 5))
-_CHUNK_CLAUSES = 4096
 _CHUNK_GATES = 2048
-
-
-def _clause_chunks(clauses):
-    """The clause lines, `_CHUNK_CLAUSES` clauses to a string."""
-    templates = _CLAUSE_TEMPLATES
-    for i in range(0, len(clauses), _CHUNK_CLAUSES):
-        chunk = clauses[i : i + _CHUNK_CLAUSES]
-        if max(map(len, chunk)) <= 4:
-            yield "\n".join([templates[len(c)] for c in chunk]) % tuple(chain.from_iterable(chunk))
-        else:
-            yield "\n".join([" ".join(map(str, c)) + " 0" for c in chunk])
 
 
 def _gate_chunks(kinds, literals):
@@ -199,9 +184,9 @@ def emit_dimacs(cnf: CnfFormula, dialect: str = "ind_comment") -> str:
     else:
         chunk = " ".join(str(v) for v in proj)
         lines.append(f"c p show {chunk} 0" if proj else "c p show 0")
-    # thousands of clauses to a string: one str object per clause would cost
-    # more in object headers than its text; the trailing "" ends the text with
-    # a newline without copying all of it once more
+    # a Tseitin formula's lines come thousands of clauses to a string: one str
+    # object per clause would cost more in object headers than its text; the
+    # trailing "" ends the text with a newline without copying all of it once more
     lines.extend(clause_lines)
     lines.append("")
     return "\n".join(lines)

@@ -12,6 +12,11 @@ search branches on its free variables and stops at the first model, so
 such inputs count correctly as well. Execution is deterministic: no
 randomness, stable branch order, reproducible stats.
 
+Every counter returns a `CountResult`: the count, or None where the
+budget ran out before the count finished, the method that counted and its
+stats. `exhausted` is only another name for `count is None`, so the two
+cannot disagree.
+
 `count_enumerate` is the independent cross-check: one all-solutions DPLL
 with its own counter-based propagation that visits each projection model
 once, with no blocking clauses.
@@ -32,10 +37,15 @@ ENUMERATE_CAP = 24
 
 @dataclass
 class CountResult:
-    count: Optional[int]  # None iff exhausted
+    """A count is its number, or None when the budget ran out before it finished."""
+
+    count: Optional[int]
     method: str  # "table" | "bdd" | "dpll_projected" | "enumeration" | "external" | "constant"
     stats: dict = field(default_factory=dict)
-    exhausted: bool = False
+
+    @property
+    def exhausted(self) -> bool:
+        return self.count is None
 
 
 class _BudgetExceeded(Exception):
@@ -300,8 +310,7 @@ def count_projected(cnf, budget: int = DEFAULT_BUDGET) -> CountResult:
     try:
         count = _count_engine(cnf, stats, budget)
     except _BudgetExceeded:
-        stats["wall_time"] = time.perf_counter() - start
-        return CountResult(None, "dpll_projected", stats, exhausted=True)
+        count = None
     stats["wall_time"] = time.perf_counter() - start
     return CountResult(count, "dpll_projected", stats)
 

@@ -17,8 +17,12 @@ linear forms per unit, tested on the logits and on their differences),
 the model is not compiled and its `model_<l>` outputs are constants. A
 root that folds to a constant counts as the domain's size or 0, with the
 method "constant", and reaches no counter; the other roots go to the
-counter in one call, each wire once. Derived ratios are exact rationals; a seeded Monte-Carlo
-baseline of the same quantities is available for side-by-side reporting.
+counter in one call, each wire once. A count is its number, or None where
+the counter's budget ran out. `_gaps` alone turns None counts into the
+report's gap strings, one per count in the order of the roots; a None
+count leaves its cell `null` and its derived ratios undefined.
+Derived ratios are exact rationals; a seeded Monte-Carlo baseline of the
+same quantities is available for side-by-side reporting.
 `count_over` also returns the label it decided, which each report carries
 as `decided_label` for the baseline: there the label stands in for the
 model, so a decided region costs no model evaluation and gives the same
@@ -132,6 +136,13 @@ def _approximate(results: Mapping[str, CountResult]) -> bool:
     return any(r.stats.get("tool") == "approximate" for r in results.values())
 
 
+def _gaps(results: Mapping[str, CountResult], describe: Callable[[str], str] = str):
+    """A gap for each count that ran out of budget, in `results` order."""
+    return tuple(
+        f"{describe(name)}: budget exhausted" for name, r in results.items() if r.count is None
+    )
+
+
 def tseitin_count_fn(count: Callable[[CnfFormula], CountResult]) -> CountFn:
     """A CNF counter behind the CountFn signature: one Tseitin formula per root."""
     return lambda circuit, roots: {name: count(tseitin(circuit, root)) for name, root in roots.items()}
@@ -169,7 +180,7 @@ def count_over(
     size = domain.size()
     results = {
         name: counted[first[wire]] if wire in first
-        else CountResult(size if circuit.const_value(wire) else 0, "constant", {}, False)
+        else CountResult(size if circuit.const_value(wire) else 0, "constant", {})
         for name, wire in roots.items()
     }
     return results, label
@@ -224,25 +235,17 @@ def learnability(
     )
 
     size = domain.size()
-    gaps = []
-    per_label = []
-    for l in labels:
-        cells = {}
-        for kind in METRIC_KINDS:
-            result = results[f"{kind}:{l}"]
-            if result.exhausted:
-                gaps.append(f"label {l} {kind}: budget exhausted")
-                cells[kind] = None
-            else:
-                cells[kind] = result.count
-        per_label.append(_derive(l, cells["tp"], cells["fp"], cells["tn"], cells["fn"], size))
-
+    per_label = [
+        _derive(l, *(results[f"{kind}:{l}"].count for kind in METRIC_KINDS), size) for l in labels
+    ]
     macro = None
     f1s = [m.f1 for m in per_label]
     if all(f is not None for f in f1s):
         macro = sum(f1s, Fraction(0)) / len(f1s)
+    # the cell "tp:1" is the gap "label 1 tp"
+    gaps = _gaps(results, lambda name: "label {1} {0}".format(*name.split(":")))
     return MetricsReport(
-        size, tuple(per_label), tuple(gaps), macro, decided_label=decided,
+        size, tuple(per_label), gaps, macro, decided_label=decided,
         approximate=_approximate(results),
     )
 
@@ -266,14 +269,13 @@ def safety(
         return SafetyReport(0, 0, 0, None, True)
     results, decided = count_over(model, box, lambda circuit: safety_roots(circuit, prop), count_fn)
 
-    gaps = [f"{name}: budget exhausted" for name, r in results.items() if r.exhausted]
     pre_size, sat, viol = (results[name].count for name in ("pre", "sat", "viol"))
     vacuous = pre_size == 0
     accuracy = None
     if not vacuous and sat is not None and viol is not None and sat + viol:
         accuracy = Fraction(sat, sat + viol)
     return SafetyReport(
-        pre_size, sat, viol, accuracy, vacuous, tuple(gaps), decided_label=decided,
+        pre_size, sat, viol, accuracy, vacuous, _gaps(results), decided_label=decided,
         approximate=_approximate(results),
     )
 
@@ -295,20 +297,10 @@ def robustness(
     results, decided = count_over(
         model, ball, lambda circuit: robustness_roots(circuit, target, ball), count_fn
     )
-    result = results["robustness"]
-    if result.exhausted:
-        return RobustnessReport(
-            target, ball.size(), None, None, tuple(center), epsilon,
-            ("robustness: budget exhausted",),
-        )
+    count = results["robustness"].count
     return RobustnessReport(
-        target,
-        ball.size(),
-        result.count,
-        Fraction(result.count, ball.size()),
-        tuple(center),
-        epsilon,
-        decided_label=decided,
+        target, ball.size(), count, None if count is None else Fraction(count, ball.size()),
+        tuple(center), epsilon, _gaps(results), decided_label=decided,
         approximate=_approximate(results),
     )
 
@@ -393,7 +385,8 @@ def statistical_baseline(
     rng = random.Random(seed)
     size = population.size()
     if with_replacement:
-        indices = [rng.randrange(size) for _ in range(n_samples)]
+        # drawn as they are scored: a list would hold 8 bytes per sample
+        indices = (rng.randrange(size) for _ in range(n_samples))
     elif n_samples >= size:
         indices = range(size)  # exhaustive
     else:

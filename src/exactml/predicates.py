@@ -386,21 +386,6 @@ def parse_predicate(text: str, domain: InputDomain) -> Predicate:
 # Builtin graph properties
 # ---------------------------------------------------------------------------
 
-GRAPH_PROPERTIES = (
-    "antisymmetric",
-    "connex",
-    "equivalence",
-    "irreflexive",
-    "nonstrictorder",
-    "partialorder",
-    "preorder",
-    "reflexive",
-    "strictorder",
-    "totalorder",
-    "transitive",
-)
-
-
 def graph_domain(n_nodes: int) -> InputDomain:
     """Domain of n^2 binary adjacency bits e[i][j], row-major order."""
     if n_nodes < 1:
@@ -476,6 +461,27 @@ def _transitive(n):
     )
 
 
+def _partialorder(n):
+    return And((_reflexive(n), _antisymmetric(n), _transitive(n)))
+
+
+# name -> builder of the property over n nodes
+_GRAPH_BUILDERS = {
+    "antisymmetric": _antisymmetric,
+    "connex": _connex,
+    "equivalence": lambda n: And((_reflexive(n), _symmetric(n), _transitive(n))),
+    "irreflexive": _irreflexive,
+    "nonstrictorder": _partialorder,
+    "partialorder": _partialorder,
+    "preorder": lambda n: And((_reflexive(n), _transitive(n))),
+    "reflexive": _reflexive,
+    "strictorder": lambda n: And((_irreflexive(n), _transitive(n))),
+    "totalorder": lambda n: And((_reflexive(n), _antisymmetric(n), _transitive(n), _connex(n))),
+    "transitive": _transitive,
+}
+GRAPH_PROPERTIES = tuple(_GRAPH_BUILDERS)
+
+
 def builtin_graph_property(name: str, n_nodes: int) -> Predicate:
     """Standard relational property over the n_nodes adjacency-matrix domain.
 
@@ -494,29 +500,10 @@ def builtin_graph_property(name: str, n_nodes: int) -> Predicate:
     """
     if n_nodes < 1:
         raise ModelError("n_nodes must be >= 1")
-    key = name.lower()
-    n = n_nodes
-    if key == "reflexive":
-        return _reflexive(n)
-    if key == "irreflexive":
-        return _irreflexive(n)
-    if key == "antisymmetric":
-        return _antisymmetric(n)
-    if key == "connex":
-        return _connex(n)
-    if key == "transitive":
-        return _transitive(n)
-    if key == "equivalence":
-        return And((_reflexive(n), _symmetric(n), _transitive(n)))
-    if key == "preorder":
-        return And((_reflexive(n), _transitive(n)))
-    if key in ("partialorder", "nonstrictorder"):
-        return And((_reflexive(n), _antisymmetric(n), _transitive(n)))
-    if key == "strictorder":
-        return And((_irreflexive(n), _transitive(n)))
-    if key == "totalorder":
-        return And((_reflexive(n), _antisymmetric(n), _transitive(n), _connex(n)))
-    raise PredicateError(f"unknown graph property {name!r}")
+    build = _GRAPH_BUILDERS.get(name.lower())
+    if build is None:
+        raise PredicateError(f"unknown graph property {name!r}")
+    return build(n_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -777,3 +777,71 @@ class TestGoldenDimacs:
                 "--property", "transitive", "--nodes", "3"]
         digest = self._emit_digest(workdir, args, "fn:1", "ind_comment")
         assert digest == self.GOLDEN["graph3-fn:1-ind_comment"]
+
+
+class TestGapReports:
+    """The full document of one gap report per metric (exit 2), with and
+    without a statistical baseline, as the CI's console-script job runs them."""
+
+    QUERIES = {
+        "learnability": ["learnability", "--domain", "graph5", "--nodes", "5", "--model", "tree.json",
+                         "--property", "transitive", "--budget", "12000"],
+        "robustness": ["robustness", "--center", "2,3", "--epsilon", "2", "--budget", "1"],
+        "safety": ["safety", "--pre", "x0 <= x1", "--post", "0", "--budget", "1"],
+    }
+    UNDEFINED = dict.fromkeys(("accuracy", "precision", "recall", "f1"), "undefined")
+    DOCUMENTS = {
+        "learnability": {
+            "format_version": 1,
+            "report": "learnability",
+            "domain_size": 33554432,
+            "labels": [
+                {"label": 0, "tp": 0, "fp": 0, "tn": None, "fn": None, **UNDEFINED},
+                {"label": 1, "tp": None, "fp": None, "tn": 0, "fn": 0, **UNDEFINED},
+            ],
+            "macro_f1": "undefined",
+            "gaps": ["label 0 tn: budget exhausted", "label 0 fn: budget exhausted",
+                     "label 1 tp: budget exhausted", "label 1 fp: budget exhausted"],
+        },
+        "robustness": {
+            "format_version": 1,
+            "report": "robustness",
+            "target_label": 1,
+            "center": [2, 3],
+            "epsilon": 2,
+            "region_size": 25,
+            "correct_count": None,
+            "robustness": "undefined",
+            "gaps": ["robustness: budget exhausted"],
+        },
+        "safety": {
+            "format_version": 1,
+            "report": "safety",
+            "pre_size": None,
+            "sat_count": None,
+            "viol_count": None,
+            "accuracy": "undefined",
+            "vacuous": False,
+            "gaps": ["pre: budget exhausted", "sat: budget exhausted", "viol: budget exhausted"],
+        },
+    }
+    ESTIMATES = {"learnability": {"fraction": "0/1", "decimal": "0.0000"},
+                 "robustness": {"fraction": "3/5", "decimal": "0.6000"},
+                 "safety": {"fraction": "0/1", "decimal": "0.0000"}}
+
+    @pytest.mark.parametrize("samples", [None, "50"], ids=["exact-only", "baseline"])
+    @pytest.mark.parametrize("metric", sorted(QUERIES))
+    def test_the_whole_document(self, tmp_path, monkeypatch, metric, samples):
+        (tmp_path / "tree.json").write_text(json.dumps(constant_tree_doc(1)))
+        monkeypatch.chdir(tmp_path)
+        command, *args = self.QUERIES[metric]
+        if metric != "learnability":
+            args = [*_two_feature_net(tmp_path)[:4], *args]
+        if samples:
+            args += ["--samples", samples]
+        assert run([command, *args, "--out", "gap.json"]) == 2
+        doc = dict(self.DOCUMENTS[metric])
+        if samples:
+            doc["statistical_baseline"] = {"n_samples": 50, "seed": 0,
+                                           "estimate": self.ESTIMATES[metric]}
+        assert (tmp_path / "gap.json").read_text() == json.dumps(doc, indent=2) + "\n"

@@ -105,7 +105,7 @@ class TestDimacs:
         assert lines[1] == "c p show 1 2 3 4 5 6 7 8 9 10 11 12 0"
         assert not any(l.startswith("c p show") for l in lines[2:])
 
-    # the second case puts the empty clause in the second chunk of 4,096 clauses
+    # the second case puts the empty clause after 5,000 others
     @pytest.mark.parametrize("clauses", [((1,), ()), ((1,),) * 5_000 + ((),)])
     def test_an_empty_clause_is_a_dimacs_error(self, clauses):
         with pytest.raises(DimacsError, match="empty clause"):
@@ -201,7 +201,6 @@ class TestDimacsTemplates:
     )
 
     def test_foreign_clauses_of_every_length_round_trip(self):
-        # 1-4 literals take the per-length templates, 5-7 the join fallback
         f = parse_dimacs(self.FOREIGN)
         assert [len(c) for c in f.clauses] == list(range(1, 8))
         assert emit_dimacs(f) == self.FOREIGN
@@ -209,9 +208,8 @@ class TestDimacsTemplates:
         assert pshow == self.FOREIGN.replace("c ind 1 2 3 0", "c p show 1 2 3 0")
         assert emit_dimacs(parse_dimacs(pshow), "pshow_comment") == pshow
 
-        # 10,000 clauses make three chunks of up to 4,096; lengths cycle through
-        # 1-4 before clause `long_from` and 1-7 from it on, so chunks take the
-        # template path only, the join fallback only, or one then the other
+        # 10,000 clauses whose lengths cycle through 1-4 before clause
+        # `long_from` and 1-7 from it on
         for long_from in (0, 6000, 10_000):
             rng = random.Random(long_from)
             lengths = [i % (4 if i < long_from else 7) + 1 for i in range(10_000)]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -284,7 +285,7 @@ class TestIntervalDecided:
         prop = SafetyProperty(
             parse_predicate("f0 >= 10 && f1 <= 4 && f0 != 12", dom), frozenset({0})
         )
-        exhausted = {"pre": CountResult(None, "table", {}, True)}
+        exhausted = {"pre": CountResult(None, "table", {})}
         report = safety(net, prop, dom, count_fn=lambda circuit, roots: exhausted)
         assert (report.pre_size, report.sat_count, report.viol_count) == (None, None, 0)
         assert report.gaps == ("pre: budget exhausted", "sat: budget exhausted")
@@ -308,7 +309,7 @@ class TestCountOver:
             calls.append(list(roots))
             results = count_roots(circuit, roots)
             for name in exhaust:
-                results[name] = CountResult(None, "table", {}, True)
+                results[name] = CountResult(None, "table", {})
             return results
         return count_fn
 
@@ -320,8 +321,8 @@ class TestCountOver:
         calls = []
         results, label = count_over(net, dom, roots_of, self._recording(calls))
         assert (calls, label) == ([["model"]], None)
-        assert results["all"] == CountResult(256, "constant", {}, False)
-        assert results["none"] == CountResult(0, "constant", {}, False)
+        assert results["all"] == CountResult(256, "constant", {})
+        assert results["none"] == CountResult(0, "constant", {})
         assert results["model"].count == 136
         constants, _ = count_over(net, dom, lambda c: {"all": c.const(True)}, _never)
         assert constants["all"].count == 256
@@ -428,6 +429,21 @@ class TestStatisticalBaseline:
             )
             assert len(calls) == evaluations
             assert (est == 1) == (label is not None)
+
+    def test_samples_are_drawn_as_they_are_scored(self, dom, net):
+        # the decided label scores every sample without the net, so what is
+        # left to trace is the sampler: a list of the 50,000 draws is 400 KB
+        prop = SafetyProperty(parse_predicate("f0 >= 8", dom), frozenset({0}))
+        tracemalloc.start()
+        try:
+            est = statistical_baseline(
+                net, dom, kind="safety_accuracy", n_samples=50_000, prop=prop, decided_label=0,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est == 1
+        assert peak < 64 * 1024
 
     def test_safety_accuracy_estimate(self, bits2_domain, xor_tree):
         prop = SafetyProperty(parse_predicate("true", bits2_domain), frozenset({0, 1}))
