@@ -39,11 +39,10 @@ class CliError(Exception):
 
 
 def _read_json(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"no such file: {path}")
     try:
-        return json.loads(p.read_text())
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError as exc:
+        raise CliError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: {exc}") from exc
     except RecursionError as exc:
@@ -350,19 +349,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # Each group adds the options of one input; a command takes only the groups it reads.
+    def inputs(p):
         p.add_argument("--domain", help="domain JSON file, or graphN for an N-node graph domain")
         p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--property", help="builtin graph property name or predicate/property file")
         p.add_argument("--nodes", type=int, help="graph size for builtin properties")
+        p.add_argument("--out", help="output file (default: stdout)")
+
+    def prop(p):
+        p.add_argument("--property", help="builtin graph property name or predicate/property file")
+
+    def pre_post(p):
         p.add_argument("--pre", help="safety precondition (predicate text or file)")
         p.add_argument("--post", help="allowed labels, e.g. '1' or '0,2' or '!3'")
+
+    def ball(p):
         p.add_argument("--center", help="comma-separated input vector")
         p.add_argument("--epsilon", type=int, default=0)
+
+    def dialect(p):
+        p.add_argument("--dialect", default="ind_comment", choices=list(cnf_mod.DIALECTS))
+
+    def counting(p):
         p.add_argument("--backend", default="builtin",
                        help="builtin | external:'cmd {file}' | external-approx:'cmd {file}'")
-        p.add_argument("--dialect", default="ind_comment",
-                       choices=list(cnf_mod.DIALECTS))
+        dialect(p)
         p.add_argument("--budget", type=int, default=bdd.DEFAULT_NODE_BUDGET,
                        help="budget of the builtin counter, shared by all the counts of "
                             "one command: one unit per truth table on circuits of up to "
@@ -371,31 +382,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=metrics_mod.DEFAULT_SEED)
         p.add_argument("--samples", type=int, default=0,
                        help="if > 0, add a seeded statistical baseline to the report")
-        p.add_argument("--out", help="output file (default: stdout)")
 
-    p = sub.add_parser("learnability", help="confusion counts against a ground-truth predicate")
-    common(p)
-    p.set_defaults(func=cmd_learnability)
+    def formula(p):
+        p.add_argument("--formula", default="model:0",
+                       help="model:L | truth:L | tp:L | fp:L | tn:L | fn:L | pre | sat | viol | robustness")
 
-    p = sub.add_parser("safety", help="Pre => Post compliance counts")
-    common(p)
-    p.set_defaults(func=cmd_safety)
+    def diff(p):
+        p.add_argument("--diff", help="learnability report to compare against")
+        p.add_argument("--cap", type=int, default=oracle.ENUMERATION_CAP)
 
-    p = sub.add_parser("robustness", help="region-constrained decision counts")
-    common(p)
-    p.set_defaults(func=cmd_robustness)
-
-    p = sub.add_parser("emit", help="write a formula as projected DIMACS")
-    common(p)
-    p.add_argument("--formula", default="model:0",
-                   help="model:L | truth:L | tp:L | fp:L | tn:L | fn:L | pre | sat | viol | robustness")
-    p.set_defaults(func=cmd_emit)
-
-    p = sub.add_parser("oracle", help="brute-force enumeration, optionally diffed against a report")
-    common(p)
-    p.add_argument("--diff", help="learnability report to compare against")
-    p.add_argument("--cap", type=int, default=oracle.ENUMERATION_CAP)
-    p.set_defaults(func=cmd_oracle)
+    for name, func, groups, help_text in (
+        ("learnability", cmd_learnability, (inputs, prop, counting),
+         "confusion counts against a ground-truth predicate"),
+        ("safety", cmd_safety, (inputs, prop, pre_post, counting), "Pre => Post compliance counts"),
+        ("robustness", cmd_robustness, (inputs, ball, counting), "region-constrained decision counts"),
+        ("emit", cmd_emit, (inputs, prop, pre_post, ball, dialect, formula),
+         "write a formula as projected DIMACS"),
+        ("oracle", cmd_oracle, (inputs, prop, diff),
+         "brute-force enumeration, optionally diffed against a report"),
+    ):
+        # no abbreviations: `--pre` must not read as `--property` where there is no --pre
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for group in groups:
+            group(p)
+        p.set_defaults(func=func)
 
     return parser
 
@@ -427,10 +437,10 @@ def main(argv=None) -> int:
         if isinstance(value, list) or value == "--":
             print(f"error: bad --{name} value '--'", file=sys.stderr)
             return EXIT_INPUT_ERROR
-    if args.budget <= 0:
+    if "budget" in args and args.budget <= 0:
         print("error: --budget must be positive", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.samples < 0:
+    if "samples" in args and args.samples < 0:
         print("error: --samples must not be negative", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:

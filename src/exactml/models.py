@@ -219,6 +219,12 @@ def _tree_label(tree: DecisionTree, point: Sequence[int]) -> int:
 # Quantized networks
 # ---------------------------------------------------------------------------
 
+# Largest `post_shift`: `circuit.MAX_BUNDLE_WIDTH`. Every accumulator a
+# compiled circuit holds fits in that many bits, so a larger shift gives the
+# same circuit; only the bound pass's `1 << shift` would grow with it.
+MAX_POST_SHIFT = 64
+
+
 @dataclass(frozen=True)
 class DenseLayer:
     weights: tuple[tuple[int, ...], ...]  # [output][input]
@@ -279,8 +285,8 @@ def load_network(doc, domain: InputDomain) -> QuantizedNetwork:
         if activation not in ("relu", "none"):
             raise ModelError(f"layer {li}: unknown activation {activation!r}")
         post_shift = _require_int(entry.get("post_shift", 0), f"layer {li} post_shift")
-        if post_shift < 0:
-            raise ModelError(f"layer {li}: post_shift must be non-negative")
+        if not 0 <= post_shift <= MAX_POST_SHIFT:
+            raise ModelError(f"layer {li}: post_shift must be in 0..{MAX_POST_SHIFT}")
         layers.append(DenseLayer(tuple(rows), bias, activation, post_shift))
         width = len(bias)
 

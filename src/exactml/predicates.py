@@ -5,7 +5,8 @@ comparisons against constants or other features, boolean connectives, and
 bounded quantifiers that are expanded at parse time, to at most
 `MAX_NESTING` levels and `MAX_QUANTIFIER_COPIES` copies of a body. The
 builtin library covers the standard relational properties of finite graphs
-encoded as adjacency-matrix bits.
+encoded as adjacency-matrix bits; the same limit bounds the features of a
+graph domain and the conjuncts of a builtin property.
 
 A box is a sub-domain, an `InputDomain` with narrower ranges: `region`
 gives the L-infinity ball around a point and `bounding_box` a box holding
@@ -390,6 +391,9 @@ def graph_domain(n_nodes: int) -> InputDomain:
     """Domain of n^2 binary adjacency bits e[i][j], row-major order."""
     if n_nodes < 1:
         raise ModelError("n_nodes must be >= 1")
+    if n_nodes * n_nodes > MAX_QUANTIFIER_COPIES:
+        raise ModelError(f"a graph of {n_nodes} nodes has more than {MAX_QUANTIFIER_COPIES} "
+                         f"edge features")
     return InputDomain(
         tuple(
             FeatureSpec(f"e[{i}][{j}]", 0, 1)
@@ -465,19 +469,21 @@ def _partialorder(n):
     return And((_reflexive(n), _antisymmetric(n), _transitive(n)))
 
 
-# name -> builder of the property over n nodes
+# name -> (d, builder): the property over n nodes is counted as n**d
+# conjuncts, the size of its largest part (`_transitive` has n**3)
 _GRAPH_BUILDERS = {
-    "antisymmetric": _antisymmetric,
-    "connex": _connex,
-    "equivalence": lambda n: And((_reflexive(n), _symmetric(n), _transitive(n))),
-    "irreflexive": _irreflexive,
-    "nonstrictorder": _partialorder,
-    "partialorder": _partialorder,
-    "preorder": lambda n: And((_reflexive(n), _transitive(n))),
-    "reflexive": _reflexive,
-    "strictorder": lambda n: And((_irreflexive(n), _transitive(n))),
-    "totalorder": lambda n: And((_reflexive(n), _antisymmetric(n), _transitive(n), _connex(n))),
-    "transitive": _transitive,
+    "antisymmetric": (2, _antisymmetric),
+    "connex": (2, _connex),
+    "equivalence": (3, lambda n: And((_reflexive(n), _symmetric(n), _transitive(n)))),
+    "irreflexive": (1, _irreflexive),
+    "nonstrictorder": (3, _partialorder),
+    "partialorder": (3, _partialorder),
+    "preorder": (3, lambda n: And((_reflexive(n), _transitive(n)))),
+    "reflexive": (1, _reflexive),
+    "strictorder": (3, lambda n: And((_irreflexive(n), _transitive(n)))),
+    "totalorder": (3, lambda n: And((_reflexive(n), _antisymmetric(n), _transitive(n),
+                                     _connex(n)))),
+    "transitive": (3, _transitive),
 }
 GRAPH_PROPERTIES = tuple(_GRAPH_BUILDERS)
 
@@ -500,9 +506,13 @@ def builtin_graph_property(name: str, n_nodes: int) -> Predicate:
     """
     if n_nodes < 1:
         raise ModelError("n_nodes must be >= 1")
-    build = _GRAPH_BUILDERS.get(name.lower())
-    if build is None:
+    key = name.lower()
+    if key not in _GRAPH_BUILDERS:
         raise PredicateError(f"unknown graph property {name!r}")
+    degree, build = _GRAPH_BUILDERS[key]
+    if n_nodes ** degree > MAX_QUANTIFIER_COPIES:
+        raise PredicateError(f"{key} over {n_nodes} nodes is past the limit of "
+                             f"{MAX_QUANTIFIER_COPIES} conjuncts")
     return build(n_nodes)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -9,7 +10,7 @@ import pytest
 
 import exactml.cnf
 import exactml.metrics
-from exactml.cli import main
+from exactml.cli import build_parser, main
 from exactml.cnf import CnfFormula, emit_dimacs, parse_dimacs
 from exactml.counter import count_projected
 from exactml.metrics import binary_truth
@@ -81,6 +82,24 @@ class TestLearnability:
         assert code == 1
         assert "nope.json" in capsys.readouterr().err
 
+    GRAPH3 = ["--domain", "graph3", "--property", "reflexive", "--nodes", "3"]
+
+    @pytest.mark.parametrize("args", [
+        ["learnability", "--domain", "nope.json", "--model", "const0.json"],
+        ["learnability", *GRAPH3, "--model", "nope.json"],
+        ["safety", "--domain", "graph3", "--model", "const0.json", "--property", "nope.json"],
+        ["oracle", *GRAPH3, "--model", "const0.json", "--diff", "nope.json"],
+    ], ids=["domain", "model", "safety-property", "diff"])
+    def test_missing_file_is_one_error_line(self, workdir, capsys, monkeypatch, args):
+        monkeypatch.chdir(workdir)
+        assert run(args) == 1
+        assert capsys.readouterr().err == "error: no such file: nope.json\n"
+
+    def test_directory_is_one_os_error_line(self, workdir, capsys):
+        assert run(["learnability", "--domain", "graph3", "--model", workdir,
+                    "--property", "reflexive", "--nodes", "3"]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{workdir}'\n"
+
     def test_deeply_nested_model_file_is_one_error_line(self, workdir, capsys):
         deep = workdir / "deep.json"
         deep.write_text("[" * 100_000 + "]" * 100_000)
@@ -113,6 +132,18 @@ class TestLearnability:
         assert code == 1
         assert "binary features" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, error", [
+        (["--domain", "graph317", "--property", "reflexive"],
+         "a graph of 317 nodes has more than 100000 edge features"),
+        (["--nodes", "317", "--property", "reflexive"],
+         "a graph of 317 nodes has more than 100000 edge features"),
+        (["--domain", "graph47", "--nodes", "47", "--property", "transitive"],
+         "transitive over 47 nodes is past the limit of 100000 conjuncts"),
+    ], ids=["domain", "nodes", "property"])
+    def test_graph_past_the_limit_is_one_error_line(self, workdir, capsys, args, error):
+        assert run(["learnability", "--model", workdir / "const0.json", *args]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_negative_samples_is_an_input_error(self, workdir, capsys):
         code = run(["learnability", "--domain", "graph3",
                     "--model", workdir / "reflexive_tree.json",
@@ -136,6 +167,44 @@ class TestUsageErrors:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: exactml") and needle in err
+
+
+INPUTS = {"--domain", "--model", "--nodes", "--out"}
+COUNTING = {"--backend", "--dialect", "--budget", "--seed", "--samples"}
+PRE_POST, BALL = {"--pre", "--post"}, {"--center", "--epsilon"}
+COMMAND_OPTIONS = {
+    "learnability": INPUTS | {"--property"} | COUNTING,
+    "safety": INPUTS | {"--property"} | PRE_POST | COUNTING,
+    "robustness": INPUTS | BALL | COUNTING,
+    "emit": INPUTS | {"--property"} | PRE_POST | BALL | {"--dialect", "--formula"},
+    "oracle": INPUTS | {"--property", "--diff", "--cap"},
+}
+# each command with each option of the five groups that it does not take
+GROUPED = INPUTS | {"--property"} | PRE_POST | BALL | COUNTING
+DROPPED = [(command, option) for command, options in COMMAND_OPTIONS.items()
+           for option in sorted(GROUPED - options)]
+
+
+class TestOptionSurface:
+    """Each command takes only the options it reads; any other is a usage error."""
+
+    def test_each_command_has_the_options_it_reads(self):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        got = {command: {opt for action in parser._actions for opt in action.option_strings}
+                        - {"-h", "--help"}
+               for command, parser in sub.choices.items()}
+        assert got == COMMAND_OPTIONS
+        assert sum(map(len, got.values())) == 51
+        assert len(DROPPED) == 22
+
+    @pytest.mark.parametrize("command, option", DROPPED)
+    def test_an_unread_option_is_a_usage_error(self, capsys, command, option):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--model", "m.json", option, "1"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            f"exactml: error: unrecognized arguments: {option} 1\n")
 
 
 class TestSafety:
@@ -407,16 +476,18 @@ class TestEmitCountsLikeMetrics:
         box = bounding_box(parse_predicate(self.PRE, domain), domain)
         assert box != domain
 
-        args = ["--domain", tmp_path / "domain.json", "--model", tmp_path / "model.json",
-                "--property", tmp_path / "truth.pred", "--pre", self.PRE, "--post", "1",
-                "--center", self.CENTER, "--epsilon", self.EPSILON]
+        inputs = ["--domain", tmp_path / "domain.json", "--model", tmp_path / "model.json"]
+        prop = ["--property", tmp_path / "truth.pred"]
+        pre_post = ["--pre", self.PRE, "--post", "1"]
+        ball = ["--center", self.CENTER, "--epsilon", self.EPSILON]
 
-        def report(command):
+        def report(command, *args):
             out = tmp_path / f"{command}.json"
-            assert run([command, *args, "--out", out]) == 0
+            assert run([command, *inputs, *args, "--out", out]) == 0
             return json.loads(out.read_text())
 
-        learn, safe, rob = report("learnability"), report("safety"), report("robustness")
+        learn = report("learnability", *prop)
+        safe, rob = report("safety", *prop, *pre_post), report("robustness", *ball)
         want = {"pre": safe["pre_size"], "sat": safe["sat_count"], "viol": safe["viol_count"],
                 "robustness": rob["correct_count"]}
         truth = binary_truth(parse_predicate(self.TRUTH, domain))
@@ -428,7 +499,8 @@ class TestEmitCountsLikeMetrics:
 
         for formula, count in want.items():
             out = tmp_path / "f.cnf"
-            assert run(["emit", *args, "--formula", formula, "--out", out]) == 0
+            assert run(["emit", *inputs, *prop, *pre_post, *ball, "--formula", formula,
+                        "--out", out]) == 0
             assert count_projected(parse_dimacs(out.read_text())).count == count, formula
 
 
@@ -498,7 +570,7 @@ class TestOracleCommand:
     def test_diff_against_a_report_of_another_kind(self, tmp_path, capsys, command):
         args = _two_feature_net(tmp_path)
         report = tmp_path / "report.json"
-        assert run([*command, *args, "--out", report]) == 0
+        assert run([*command, *args[:4], "--out", report]) == 0
         assert run(["oracle", *args, "--diff", report, "--out", tmp_path / "oracle.json"]) == 1
         assert f"report kind '{command[0]}'" in capsys.readouterr().err
 
@@ -550,13 +622,13 @@ class TestExternalBackend:
         stub.write_text("#!/bin/sh\necho 's mc 7'\n")
         stub.chmod(0o755)
         out = tmp_path / "rob.json"
-        assert run(["robustness", *_two_feature_net(tmp_path), "--center", center,
+        assert run(["robustness", *_two_feature_net(tmp_path)[:4], "--center", center,
                     "--epsilon", "2", "--backend", f"{backend}:{stub} {{file}}",
                     "--out", out]) == 0
         doc = json.loads(out.read_text())
         assert doc.get("approximate") is (True if marked else None)
         assert doc["correct_count"] == (7 if center == "2,3" else 25)
-        assert run(["robustness", *_two_feature_net(tmp_path), "--center", center,
+        assert run(["robustness", *_two_feature_net(tmp_path)[:4], "--center", center,
                     "--epsilon", "2", "--out", out]) == 0
         assert "approximate" not in json.loads(out.read_text())
 
@@ -635,7 +707,9 @@ class TestDecidedBaseline:
              "layers": [{"weights": [[0, 0], [0, 0]], "biases": [0, 1], "activation": "none"}]}
         ))
         monkeypatch.chdir(tmp_path)
-        args = [*_two_feature_net(tmp_path), *self.QUERIES[query][1:], "--samples", samples]
+        net = _two_feature_net(tmp_path)
+        net = net[:4] if query.startswith("robustness") else net
+        args = [*net, *self.QUERIES[query][1:], "--samples", samples]
         if not with_replacement:
             baseline = exactml.metrics.statistical_baseline
             monkeypatch.setattr(exactml.metrics, "statistical_baseline",
@@ -663,7 +737,7 @@ class TestDecidedBaseline:
         unchecked = exactml.metrics.eval_unchecked
         monkeypatch.setattr(exactml.metrics, "eval_unchecked",
                             lambda *a: calls.append(a) or unchecked(*a))
-        args = [*_two_feature_net(tmp_path), "--epsilon", "2", "--samples", "50"]
+        args = [*_two_feature_net(tmp_path)[:4], "--epsilon", "2", "--samples", "50"]
         for center, evaluations in (("12,-5", 0), ("2,3", 51)):
             calls.clear()
             assert run(["robustness", *args, "--center", center,

@@ -193,9 +193,7 @@ def test_domain_document_nested_too_deeply(files):
                 "--property", files / "true.pred"]) == 1
 
 
-# a small int, or a JSON value of another type; no large int is drawn,
-# because a `post_shift` of 3 * 10**7 makes the bound pass build a 1 << shift
-# of megabytes
+# a small int, or a JSON value of another type
 def small_int_or_other(lo, hi):
     return st.one_of(st.integers(lo, hi), st.none(), st.booleans(), st.floats(allow_nan=False),
                      st.text(max_size=4), st.lists(st.integers(lo, hi), max_size=2))
@@ -221,7 +219,7 @@ layers = st.one_of(
         {"weights": st.one_of(weight_rows, json_scalars),
          "biases": st.one_of(st.lists(small_int_or_other(-50, 50), max_size=3), json_scalars)},
         optional={"activation": st.sampled_from(["relu", "none", "tanh", None]),
-                  "post_shift": small_int_or_other(-1, 6)},
+                  "post_shift": small_int_or_other(-1, 70)},
     ),
     json_scalars,
 )
@@ -257,6 +255,10 @@ VALID_NETWORKS = [
                      network_documents, json_values))
 @_example_each(VALID_NETWORKS, "doc")
 @example(doc={"kind": "decision_tree", "num_labels": 2, "nodes": [{"leaf": 1}]})
+# a shift past `models.MAX_POST_SHIFT` is one error line, not a 1 << shift of megabytes
+@example(doc={**VALID_NETWORKS[1], "layers": [{**VALID_NETWORKS[1]["layers"][0],
+                                               "post_shift": 3 * 10**7},
+                                              VALID_NETWORKS[1]["layers"][1]]})
 def test_model_document(files, doc):
     (files / "model.json").write_text(json.dumps(doc))
     args = ["--domain", files / "bits2.json", "--model", files / "model.json",

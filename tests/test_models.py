@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from exactml.circuit import MAX_BUNDLE_WIDTH
 from exactml.models import (
+    MAX_POST_SHIFT,
     FeatureSpec,
     InputDomain,
     ModelError,
@@ -162,6 +164,20 @@ class TestNetwork:
         assert eval_model(net, (1,), dom) == 0
         # input 3: (floor(-3/2), -1) = (-2, -1) -> 1
         assert eval_model(net, (3,), dom) == 1
+
+    @pytest.mark.parametrize("shift, loads", [(MAX_POST_SHIFT, True), (MAX_POST_SHIFT + 1, False)])
+    def test_post_shift_limit(self, shift, loads):
+        doc = {"input_width": 1, "layers": [
+            {"weights": [[1], [-1]], "biases": [0, 0], "activation": "none", "post_shift": shift}]}
+        dom = make_domain([(0, 7)])
+        if loads:
+            assert load_network(doc, dom).layers[0].post_shift == shift
+        else:
+            with pytest.raises(ModelError, match="post_shift must be in 0..64"):
+                load_network(doc, dom)
+
+    def test_post_shift_limit_is_the_bundle_width(self):
+        assert MAX_POST_SHIFT == MAX_BUNDLE_WIDTH
 
     def test_dimension_mismatch(self):
         dom = make_domain([(0, 1)] * 3)

@@ -6,6 +6,7 @@ from exactml.oracle import brute_count_predicate, enumerate_domain
 from exactml.predicates import (
     GRAPH_PROPERTIES,
     MAX_NESTING,
+    MAX_QUANTIFIER_COPIES,
     And,
     CmpConst,
     PredicateError,
@@ -105,6 +106,30 @@ class TestGraphProperties:
     def test_bad_node_count(self):
         with pytest.raises(ModelError):
             builtin_graph_property("reflexive", 0)
+
+    def test_graph_domain_limit(self):
+        assert len(graph_domain(316).features) == 316 * 316 <= MAX_QUANTIFIER_COPIES
+        with pytest.raises(ModelError, match="317 nodes has more than 100000 edge features"):
+            graph_domain(317)
+
+    # the most nodes each property takes within 1000 conjuncts, counted as n**3
+    # for the transitive family, n**2 for node pairs and n for single nodes
+    @pytest.mark.parametrize("name, n", [
+        ("reflexive", 1000), ("irreflexive", 1000), ("antisymmetric", 31), ("connex", 31),
+        *((name, 10) for name in ("equivalence", "nonstrictorder", "partialorder", "preorder",
+                                  "strictorder", "totalorder", "transitive")),
+    ])
+    def test_conjunct_limit(self, monkeypatch, name, n):
+        assert name in GRAPH_PROPERTIES
+        monkeypatch.setattr(exactml.predicates, "MAX_QUANTIFIER_COPIES", 1000)
+        builtin_graph_property(name, n)
+        with pytest.raises(PredicateError, match=f"{name} over {n + 1} nodes is past the limit of 1000 "):
+            builtin_graph_property(name, n + 1)
+
+    def test_transitive_past_the_real_limit(self):
+        assert 46 ** 3 <= MAX_QUANTIFIER_COPIES < 47 ** 3
+        with pytest.raises(PredicateError, match="transitive over 47 nodes is past the limit of 100000 "):
+            builtin_graph_property("Transitive", 47)
 
 
 class TestParser:
