@@ -49,8 +49,6 @@ from .predicates import Predicate
 
 MAX_BUNDLE_WIDTH = 64
 
-METRIC_KINDS = ("tp", "fp", "tn", "fn")
-
 
 class WidthOverflowError(ValueError):
     """Interval analysis needs more bits than `MAX_BUNDLE_WIDTH`."""
@@ -643,23 +641,8 @@ def _compile_pred(c: Circuit, pred: Predicate) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Metric roots, regions, partial evaluation
+# Regions, partial evaluation
 # ---------------------------------------------------------------------------
-
-def compose_metric(circuit: Circuit, label: int, kind: str) -> int:
-    """Root wire for one confusion-matrix cell of one label."""
-    if kind not in METRIC_KINDS:
-        raise ValueError(f"unknown metric kind {kind!r}")
-    model = circuit.output(f"model_{label}")
-    truth = circuit.output(f"truth_{label}")
-    if kind == "tp":
-        return circuit.and_(truth, model)
-    if kind == "fp":
-        return circuit.and_(circuit.not_(truth), model)
-    if kind == "tn":
-        return circuit.and_(circuit.not_(truth), circuit.not_(model))
-    return circuit.and_(truth, circuit.not_(model))
-
 
 def constrain_region(circuit: Circuit, root: int, region: InputDomain) -> int:
     """Conjoin onto `root` a comparator for each end where `region` narrows a feature."""

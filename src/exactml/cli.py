@@ -33,6 +33,8 @@ EXIT_MISMATCH = 3
 
 _GRAPH_DOMAIN_RE = re.compile(r"^graph(\d+)$")
 
+_CELLS = ("tp", "fp", "tn", "fn")
+
 
 class CliError(Exception):
     pass
@@ -151,27 +153,20 @@ def _write_output(doc: dict, out: Optional[str]) -> None:
 def _truth_predicates(args, domain, n_labels):
     if not args.property:
         raise CliError("need --property (builtin name or predicate file)")
-    pred = _predicate_from_arg(args.property, domain, args.nodes)
     if n_labels != 2:
         raise CliError("the CLI drives binary problems; use the API for more labels")
-    return metrics_mod.binary_truth(pred)
+    return metrics_mod.binary_truth(_predicate_from_arg(args.property, domain, args.nodes))
 
 
-def _finish(args, report, to_document, model, domain, **baseline) -> int:
-    """Write the report's document, with the statistical baseline that
-    `--samples` asks for, and return the exit code: 2 if it has gaps."""
-    doc = to_document(report)
-    if args.samples:
-        est = metrics_mod.statistical_baseline(
-            model, domain, n_samples=args.samples, seed=args.seed,
-            decided_label=report.decided_label, **baseline
-        )
-        doc["statistical_baseline"] = {
-            "n_samples": args.samples,
-            "seed": args.seed,
-            "estimate": metrics_mod.render_fraction(est),
-        }
-    _write_output(doc, args.out)
+def _metric_options(args) -> dict:
+    """The counting and sampling options of a metric command, as metric keywords."""
+    return {"count_fn": _make_count_fn(args.backend, args.budget, args.dialect),
+            "samples": args.samples, "seed": args.seed}
+
+
+def _finish(args, report, to_document) -> int:
+    """Write the report's document; the exit code is 2 if it has gaps."""
+    _write_output(to_document(report), args.out)
     return EXIT_BUDGET if report.gaps else EXIT_OK
 
 
@@ -179,10 +174,8 @@ def cmd_learnability(args) -> int:
     domain = _load_domain(args.domain, args.nodes)
     model = _load_model(args.model, domain)
     truth = _truth_predicates(args, domain, model.num_labels)
-    count_fn = _make_count_fn(args.backend, args.budget, args.dialect)
-    report = metrics_mod.learnability(model, truth, domain, count_fn=count_fn)
-    return _finish(args, report, metrics_mod.metrics_to_document, model, domain,
-                   kind="learnability_accuracy", truth_predicates=truth)
+    report = metrics_mod.learnability(model, truth, domain, **_metric_options(args))
+    return _finish(args, report, metrics_mod.metrics_to_document)
 
 
 def _safety_property(args, domain, n_labels):
@@ -200,10 +193,8 @@ def cmd_safety(args) -> int:
     domain = _load_domain(args.domain, args.nodes)
     model = _load_model(args.model, domain)
     prop = _safety_property(args, domain, model.num_labels)
-    count_fn = _make_count_fn(args.backend, args.budget, args.dialect)
-    report = metrics_mod.safety(model, prop, domain, count_fn=count_fn)
-    return _finish(args, report, metrics_mod.safety_to_document, model, domain,
-                   kind="safety_accuracy", prop=prop)
+    report = metrics_mod.safety(model, prop, domain, **_metric_options(args))
+    return _finish(args, report, metrics_mod.safety_to_document)
 
 
 def _parse_center(arg: Optional[str]) -> tuple[int, ...]:
@@ -219,10 +210,8 @@ def cmd_robustness(args) -> int:
     domain = _load_domain(args.domain, args.nodes)
     model = _load_model(args.model, domain)
     center = _parse_center(args.center)
-    count_fn = _make_count_fn(args.backend, args.budget, args.dialect)
-    report = metrics_mod.robustness(model, center, args.epsilon, domain, count_fn=count_fn)
-    return _finish(args, report, metrics_mod.robustness_to_document, model, domain,
-                   kind="robustness", center=center, epsilon=args.epsilon)
+    report = metrics_mod.robustness(model, center, args.epsilon, domain, **_metric_options(args))
+    return _finish(args, report, metrics_mod.robustness_to_document)
 
 
 _FORMULA_RE = re.compile(r"^(?:(model|truth|tp|fp|tn|fn):(\d+)|(pre|sat|viol|robustness))$")
@@ -295,6 +284,12 @@ def cmd_oracle(args) -> int:
         ):
             raise CliError(f"--diff {args.diff}: labels must be a list of objects, each with "
                            f"an integer label of the model (0..{model.num_labels - 1})")
+        for entry in entries:
+            for cell in _CELLS:
+                # a null cell is a budget gap; JSON true/false are not counts
+                if entry.get(cell) is not None and type(entry[cell]) is not int:
+                    raise CliError(f"--diff {args.diff}: label {entry['label']} {cell} must be "
+                                   f"an integer or null, got {entry[cell]!r}")
     try:
         report = oracle.brute_learnability(model, truth, domain, cap=args.cap)
     except oracle.OracleCapError as exc:
@@ -304,9 +299,7 @@ def cmd_oracle(args) -> int:
         "report": "oracle",
         "domain_size": report.domain_size,
         "counts": {
-            str(label): {
-                kind: report.counts[(label, kind)] for kind in ("tp", "fp", "tn", "fn")
-            }
+            str(label): {cell: report.counts[(label, cell)] for cell in _CELLS}
             for label in sorted({l for l, _ in report.counts})
         },
         "fingerprint": report.fingerprint,
@@ -315,13 +308,12 @@ def cmd_oracle(args) -> int:
     if prior is not None:
         for entry in entries:
             label = entry["label"]
-            for kind in ("tp", "fp", "tn", "fn"):
-                want = report.counts[(label, kind)]
-                got = entry.get(kind)
-                # a null cell is a budget gap, not a count
+            for cell in _CELLS:
+                want = report.counts[(label, cell)]
+                got = entry.get(cell)
                 if got is not None and got != want:
                     print(
-                        f"mismatch at label {label} {kind}: report has {got}, oracle has {want}",
+                        f"mismatch at label {label} {cell}: report has {got}, oracle has {want}",
                         file=sys.stderr,
                     )
                     return EXIT_MISMATCH

@@ -21,28 +21,29 @@ counter in one call, each wire once. A count is its number, or None where
 the counter's budget ran out. `_gaps` alone turns None counts into the
 report's gap strings, one per count in the order of the roots; a None
 count leaves its cell `null` and its derived ratios undefined.
-Derived ratios are exact rationals; a seeded Monte-Carlo baseline of the
-same quantities is available for side-by-side reporting.
-`count_over` also returns the label it decided, which each report carries
-as `decided_label` for the baseline: there the label stands in for the
-model, so a decided region costs no model evaluation and gives the same
-estimate. A report whose counts include one from an approximate external
-counter says so with `"approximate": true`; no other report has the key.
+Derived ratios are exact rationals. Given `samples`, each metric also
+puts in its report a seeded Monte-Carlo estimate of the same quantity, the
+accuracy that testing on sampled data would measure: `statistical_baseline`
+draws from the metric's own population (the domain, the domain scored only
+where Pre holds, the ball) and scores each point with the metric's own
+outcome. Where `count_over` decided the model's label, that label stands in
+for the model, so a decided region costs no model evaluation and gives the
+same estimate, and a decided ball draws nothing. A report whose counts
+include one from an approximate external counter says so with
+`"approximate": true`; no other report has the key. Each `*_to_document`
+writes the whole report, the baseline last.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import bdd
-from .circuit import (
-    METRIC_KINDS, Circuit, bound_label, compile_model, compile_predicate, compose_metric,
-    constrain_region,
-)
+from .circuit import Circuit, bound_label, compile_model, compile_predicate, constrain_region
 from .cnf import CnfFormula, tseitin
 from .counter import CountResult
 from .models import InputDomain, Model, ModelError, eval_model, eval_unchecked
@@ -71,11 +72,17 @@ class LabelMetrics:
         return None not in (self.tp, self.fp, self.tn, self.fn)
 
 
-# Every report's `decided_label` is the label that bounds proved on the whole
-# region it counts over, or None. It is for the statistical baseline: no
-# document writes it, and reports that differ only in it are equal.
+@dataclass(frozen=True)
+class Baseline:
+    """A seeded Monte-Carlo estimate of a report's exact value; None if no sample scored."""
+    n_samples: int
+    seed: int
+    estimate: Optional[Fraction]
+
+
 # `approximate` is True when a count came from an approximate external
 # counter; only then does the document carry `"approximate": true`.
+# `baseline` is None unless the metric was asked for samples.
 
 @dataclass
 class MetricsReport:
@@ -83,8 +90,8 @@ class MetricsReport:
     labels: tuple[LabelMetrics, ...]
     gaps: tuple[str, ...] = ()
     macro_f1: Optional[Fraction] = None
-    decided_label: Optional[int] = field(default=None, compare=False)
     approximate: bool = False
+    baseline: Optional[Baseline] = None
 
 
 @dataclass
@@ -95,8 +102,8 @@ class SafetyReport:
     accuracy: Optional[Fraction]
     vacuous: bool
     gaps: tuple[str, ...] = ()
-    decided_label: Optional[int] = field(default=None, compare=False)
     approximate: bool = False
+    baseline: Optional[Baseline] = None
 
 
 @dataclass
@@ -108,8 +115,8 @@ class RobustnessReport:
     center: tuple[int, ...]
     epsilon: int
     gaps: tuple[str, ...] = ()
-    decided_label: Optional[int] = field(default=None, compare=False)
     approximate: bool = False
+    baseline: Optional[Baseline] = None
 
 
 def _derive(label: int, tp, fp, tn, fn, domain_size: int) -> LabelMetrics:
@@ -193,9 +200,14 @@ def learnability_roots(
     labels = sorted(truth_predicates)
     for l in labels:
         compile_predicate(circuit, truth_predicates[l], f"truth_{l}")
-    return {
-        f"{kind}:{l}": compose_metric(circuit, l, kind) for l in labels for kind in METRIC_KINDS
-    }
+    cells = {}
+    for l in labels:
+        model, truth = circuit.output(f"model_{l}"), circuit.output(f"truth_{l}")
+        cells[f"tp:{l}"] = circuit.and_(truth, model)
+        cells[f"fp:{l}"] = circuit.and_(circuit.not_(truth), model)
+        cells[f"tn:{l}"] = circuit.and_(circuit.not_(truth), circuit.not_(model))
+        cells[f"fn:{l}"] = circuit.and_(truth, circuit.not_(model))
+    return cells
 
 
 def safety_roots(circuit: Circuit, prop: SafetyProperty) -> dict[str, int]:
@@ -218,13 +230,36 @@ def robustness_roots(circuit: Circuit, target: int, region: InputDomain) -> dict
     return {"robustness": constrain_region(circuit, circuit.output(f"model_{target}"), region)}
 
 
+def _label_of(model: Model, decided: Optional[int]) -> Callable[[Sequence[int]], int]:
+    """The model's label at a point of the counted region: `decided` where bounds proved it."""
+    if decided is None:
+        return lambda point: eval_unchecked(model, point)
+    return lambda point: decided
+
+
+def _baseline(
+    population: InputDomain, outcome: Callable, samples: int, seed: int
+) -> Optional[Baseline]:
+    if not samples:
+        return None
+    return Baseline(
+        samples, seed, statistical_baseline(population, outcome, n_samples=samples, seed=seed)
+    )
+
+
 def learnability(
     model: Model,
     truth_predicates: Mapping[int, Predicate],
     domain: InputDomain,
     count_fn: Optional[CountFn] = None,
+    samples: int = 0,
+    seed: int = DEFAULT_SEED,
 ) -> MetricsReport:
-    """TP/FP/TN/FN over the whole domain for every label, plus derived ratios."""
+    """TP/FP/TN/FN over the whole domain for every label, plus derived ratios.
+
+    The baseline estimates the overall accuracy: the share of sampled inputs
+    whose predicted label's truth predicate holds.
+    """
     labels = range(model.num_labels)
     if sorted(truth_predicates) != list(labels):
         raise ModelError(
@@ -233,10 +268,15 @@ def learnability(
     results, decided = count_over(
         model, domain, lambda circuit: learnability_roots(circuit, truth_predicates), count_fn
     )
+    label_of = _label_of(model, decided)
+    baseline = _baseline(
+        domain, lambda point: truth_predicates[label_of(point)].evaluate(point), samples, seed
+    )
 
     size = domain.size()
     per_label = [
-        _derive(l, *(results[f"{kind}:{l}"].count for kind in METRIC_KINDS), size) for l in labels
+        _derive(l, *(results[f"{cell}:{l}"].count for cell in ("tp", "fp", "tn", "fn")), size)
+        for l in labels
     ]
     macro = None
     f1s = [m.f1 for m in per_label]
@@ -244,10 +284,7 @@ def learnability(
         macro = sum(f1s, Fraction(0)) / len(f1s)
     # the cell "tp:1" is the gap "label 1 tp"
     gaps = _gaps(results, lambda name: "label {1} {0}".format(*name.split(":")))
-    return MetricsReport(
-        size, tuple(per_label), gaps, macro, decided_label=decided,
-        approximate=_approximate(results),
-    )
+    return MetricsReport(size, tuple(per_label), gaps, macro, _approximate(results), baseline)
 
 
 def safety(
@@ -255,19 +292,32 @@ def safety(
     prop: SafetyProperty,
     domain: InputDomain,
     count_fn: Optional[CountFn] = None,
+    samples: int = 0,
+    seed: int = DEFAULT_SEED,
 ) -> SafetyReport:
     """Counts of Pre-inputs on which the decision does / does not meet Post.
 
     Counts range over the bounding box of Pre; an empty box is vacuous
-    without compiling anything.
+    without compiling anything. The baseline samples the whole domain and
+    scores the samples that satisfy Pre.
     """
     for label in prop.allowed:
         if not (0 <= label < model.num_labels):
             raise ModelError(f"allowed label {label} out of range")
     box = bounding_box(prop.pre, domain)
-    if box is None:
-        return SafetyReport(0, 0, 0, None, True)
-    results, decided = count_over(model, box, lambda circuit: safety_roots(circuit, prop), count_fn)
+    if box is None:  # Pre holds nowhere: every count is 0
+        empty = CountResult(0, "constant", {})
+        results, decided = {"pre": empty, "sat": empty, "viol": empty}, None
+    else:
+        results, decided = count_over(
+            model, box, lambda circuit: safety_roots(circuit, prop), count_fn
+        )
+    label_of = _label_of(model, decided)
+    baseline = _baseline(
+        domain,
+        lambda point: label_of(point) in prop.allowed if prop.pre.evaluate(point) else None,
+        samples, seed,
+    )
 
     pre_size, sat, viol = (results[name].count for name in ("pre", "sat", "viol"))
     vacuous = pre_size == 0
@@ -275,8 +325,7 @@ def safety(
     if not vacuous and sat is not None and viol is not None and sat + viol:
         accuracy = Fraction(sat, sat + viol)
     return SafetyReport(
-        pre_size, sat, viol, accuracy, vacuous, _gaps(results), decided_label=decided,
-        approximate=_approximate(results),
+        pre_size, sat, viol, accuracy, vacuous, _gaps(results), _approximate(results), baseline
     )
 
 
@@ -286,22 +335,30 @@ def robustness(
     epsilon: int,
     domain: InputDomain,
     count_fn: Optional[CountFn] = None,
+    samples: int = 0,
+    seed: int = DEFAULT_SEED,
 ) -> RobustnessReport:
     """Fraction of the L-inf ball around `center` classified like the center.
 
     The model is compiled over the ball itself, so its circuit reads only
-    the bits that vary inside the ball.
+    the bits that vary inside the ball. The baseline samples the ball.
     """
     target = eval_model(model, center, domain)
     ball = region(center, epsilon, domain)
     results, decided = count_over(
         model, ball, lambda circuit: robustness_roots(circuit, target, ball), count_fn
     )
+    if samples and decided is not None:
+        # every point of the ball takes the center's label: no sample to draw
+        baseline = Baseline(samples, seed, Fraction(1))
+    else:
+        baseline = _baseline(
+            ball, lambda point: eval_unchecked(model, point) == target, samples, seed
+        )
     count = results["robustness"].count
     return RobustnessReport(
         target, ball.size(), count, None if count is None else Fraction(count, ball.size()),
-        tuple(center), epsilon, _gaps(results), decided_label=decided,
-        approximate=_approximate(results),
+        tuple(center), epsilon, _gaps(results), _approximate(results), baseline,
     )
 
 
@@ -319,69 +376,19 @@ def _decode_point(domain: InputDomain, index: int) -> tuple[int, ...]:
 
 
 def statistical_baseline(
-    model: Model,
-    domain: InputDomain,
-    kind: str,
+    population: InputDomain,
+    outcome: Callable[[tuple[int, ...]], Optional[bool]],
     n_samples: int,
     seed: int = DEFAULT_SEED,
     with_replacement: bool = True,
-    truth_predicates: Optional[Mapping[int, Predicate]] = None,
-    prop: Optional[SafetyProperty] = None,
-    center: Optional[Sequence[int]] = None,
-    epsilon: Optional[int] = None,
-    decided_label: Optional[int] = None,
 ) -> Optional[Fraction]:
-    """Seeded Monte-Carlo estimate of one exact metric.
+    """Seeded Monte-Carlo share of the points of `population` whose outcome is True.
 
-    kind: "learnability_accuracy" (overall fraction of inputs whose predicted
-    label matches the ground truth), "safety_accuracy", or "robustness".
-    Sampling without replacement with n_samples covering the population is an
-    exhaustive pass and reproduces the exact value. Returns None when no
-    sample is scored (safety scores only the samples that satisfy Pre).
-
-    `decided_label` is the `decided_label` of the metric's report: the label
-    proved on the whole domain, the Pre box or the robustness ball. It stands
-    in for the model on every sample, which draws and scores the same
-    samples to the same estimate. A decided ball is all hits, so it draws
-    none. Samples are built from the domain, so only the center is checked.
+    `outcome` is True, False, or None for a point it does not score.
+    Sampling without replacement with n_samples covering the population is
+    an exhaustive pass and reproduces the exact share. Returns None when no
+    sample is scored.
     """
-    if decided_label is None:
-        def label_of(point):
-            return eval_unchecked(model, point)
-    else:
-        def label_of(point):
-            return decided_label
-
-    # each kind picks a population and a per-point outcome: True, False, or
-    # None for a point it does not score
-    population = domain
-    if kind == "learnability_accuracy":
-        if truth_predicates is None:
-            raise ValueError("learnability baseline needs truth_predicates")
-
-        def outcome(point):
-            return truth_predicates[label_of(point)].evaluate(point)
-    elif kind == "robustness":
-        if center is None or epsilon is None:
-            raise ValueError("robustness baseline needs center and epsilon")
-        population = region(center, epsilon, domain)  # checks the center
-        if decided_label is not None and n_samples > 0:
-            return Fraction(1)  # every point of the ball takes the center's label
-        target = label_of(center)
-
-        def outcome(point):
-            return label_of(point) == target
-    elif kind == "safety_accuracy":
-        if prop is None:
-            raise ValueError("safety baseline needs prop")
-
-        def outcome(point):
-            if not prop.pre.evaluate(point):
-                return None
-            return label_of(point) in prop.allowed
-    else:
-        raise ValueError(f"unknown baseline kind {kind!r}")
-
     rng = random.Random(seed)
     size = population.size()
     if with_replacement:
@@ -414,14 +421,21 @@ def render_fraction(value: Optional[Fraction]):
     return {"fraction": f"{value.numerator}/{value.denominator}", "decimal": text}
 
 
-def _mark_approximate(doc: dict, report) -> dict:
+def _finish_document(doc: dict, report) -> dict:
+    """Add the keys every report document ends with: `approximate`, then the baseline."""
     if report.approximate:
         doc["approximate"] = True
+    if report.baseline is not None:
+        doc["statistical_baseline"] = {
+            "n_samples": report.baseline.n_samples,
+            "seed": report.baseline.seed,
+            "estimate": render_fraction(report.baseline.estimate),
+        }
     return doc
 
 
 def metrics_to_document(report: MetricsReport) -> dict:
-    return _mark_approximate({
+    return _finish_document({
         "format_version": 1,
         "report": "learnability",
         "domain_size": report.domain_size,
@@ -445,7 +459,7 @@ def metrics_to_document(report: MetricsReport) -> dict:
 
 
 def safety_to_document(report: SafetyReport) -> dict:
-    return _mark_approximate({
+    return _finish_document({
         "format_version": 1,
         "report": "safety",
         "pre_size": report.pre_size,
@@ -458,7 +472,7 @@ def safety_to_document(report: SafetyReport) -> dict:
 
 
 def robustness_to_document(report: RobustnessReport) -> dict:
-    return _mark_approximate({
+    return _finish_document({
         "format_version": 1,
         "report": "robustness",
         "target_label": report.target_label,

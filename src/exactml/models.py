@@ -23,6 +23,8 @@ def _as_document(doc) -> dict:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise ModelError(f"malformed document: {exc}") from exc
+        except RecursionError as exc:
+            raise ModelError("malformed document: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ModelError("malformed document: expected a JSON object")
     version = doc.get("format_version", 1)

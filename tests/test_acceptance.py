@@ -17,7 +17,6 @@ from exactml.circuit import (
     Circuit,
     compile_model,
     compile_predicate,
-    compose_metric,
     constrain_region,
     partial_evaluate,
 )
@@ -28,7 +27,7 @@ from exactml.counter import (
     count_projected,
     probe_functional_extension,
 )
-from exactml.metrics import safety, statistical_baseline
+from exactml.metrics import learnability_roots, safety, statistical_baseline
 from exactml.models import eval_model, load_tree
 from exactml.oracle import (
     brute_learnability,
@@ -75,12 +74,11 @@ def suite_results(model_suite):
     for inst in model_suite:
         start = time.perf_counter()
         circ = compile_model(inst.model, inst.domain)
-        for l, pred in inst.truth.items():
-            compile_predicate(circ, pred, f"truth_{l}")
+        roots = learnability_roots(circ, inst.truth)
         res = InstanceResult(inst, circ)
         for l in range(inst.model.num_labels):
             for kind in ("tp", "fp", "tn", "fn"):
-                formula = tseitin(circ, compose_metric(circ, l, kind))
+                formula = tseitin(circ, roots[f"{kind}:{l}"])
                 res.formulas[(l, kind)] = formula
                 outcome = count_projected(formula)
                 assert not outcome.exhausted
@@ -217,8 +215,8 @@ def test_criterion_6_robustness_micro_benchmark():
             assert counted == correct, center
             distinct.add((correct, size))
             exhaustive = statistical_baseline(
-                tree, dom, kind="robustness", n_samples=reg.size(),
-                with_replacement=False, center=center, epsilon=1,
+                reg, lambda point: eval_model(tree, point, dom) == target, n_samples=reg.size(),
+                with_replacement=False,
             )
             assert exhaustive is not None
             assert exhaustive * size == correct, center

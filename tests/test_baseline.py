@@ -1,8 +1,10 @@
 """The Monte-Carlo baseline estimates the same with the seam's decided label as without.
 
-A report's `decided_label` stands in for the model on every sample; the
-estimate must not change, whatever the kind, the sampling mode or the
-sample count. Needs `hypothesis`; skipped where it is missing.
+Where `count_over` decides the model's label, that label stands in for the
+model on every sample; each metric's baseline must not change, whatever the
+sampling mode or the sample count, when `bound_label` is patched to leave
+every region open and the model scores every sample. Needs `hypothesis`;
+skipped where it is missing.
 """
 
 import random
@@ -14,7 +16,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from exactml.metrics import learnability, robustness, safety, statistical_baseline  # noqa: E402
+import exactml.metrics  # noqa: E402
+from exactml.metrics import learnability, robustness, safety  # noqa: E402
 from exactml.models import load_network  # noqa: E402
 from exactml.predicates import SafetyProperty, parse_predicate  # noqa: E402
 
@@ -45,18 +48,38 @@ def _box_property(rng, dom, num_labels):
 
 
 def _queries(rng, dom, eps):
-    """(report, baseline arguments) of one query per kind on a random net."""
+    """One query per metric on a random net: metric name -> call taking the baseline keywords."""
     net = varied_network(rng, dom)
     center = random_point(rng, dom)
     truth = truth_family(rng, dom, net.num_labels)
     prop = _box_property(rng, dom, net.num_labels)
-    return net, [
-        (learnability(net, truth, dom),
-         {"kind": "learnability_accuracy", "truth_predicates": truth}),
-        (safety(net, prop, dom), {"kind": "safety_accuracy", "prop": prop}),
-        (robustness(net, center, eps, dom),
-         {"kind": "robustness", "center": center, "epsilon": eps}),
-    ]
+    return {
+        "learnability": lambda **kw: learnability(net, truth, dom, **kw),
+        "safety": lambda **kw: safety(net, prop, dom, **kw),
+        "robustness": lambda **kw: robustness(net, center, eps, dom, **kw),
+    }
+
+
+def _run(query, leave_open=False, with_replacement=True, **baseline):
+    """`query`'s report and the labels `bound_label` gave it. `leave_open`
+    makes `bound_label` decide nothing, so the model scores every sample."""
+    decided = []
+    bound_label, sample = exactml.metrics.bound_label, exactml.metrics.statistical_baseline
+
+    def spy(model, domain):
+        decided.append(None if leave_open else bound_label(model, domain))
+        return decided[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactml.metrics, "bound_label", spy)
+        patch.setattr(exactml.metrics, "statistical_baseline",
+                      lambda *a, **kw: sample(*a, **kw, with_replacement=with_replacement))
+        return query(**baseline), decided
+
+
+def _estimates(query, **baseline):
+    """The baseline of `query` as decided and with every region left open."""
+    return [_run(query, leave_open, **baseline)[0].baseline for leave_open in (False, True)]
 
 
 @SETTINGS
@@ -66,24 +89,21 @@ def test_the_decided_label_leaves_every_estimate_unchanged(
     ranges, seed, eps, n_samples, with_replacement, sample_seed
 ):
     dom = make_domain(ranges)
-    net, queries = _queries(random.Random(seed), dom, eps)
-    for report, kwargs in queries:
-        def estimate(label):
-            return statistical_baseline(
-                net, dom, n_samples=n_samples, seed=sample_seed,
-                with_replacement=with_replacement, decided_label=label, **kwargs
-            )
-
-        assert estimate(report.decided_label) == estimate(None), kwargs["kind"]
+    for metric, query in _queries(random.Random(seed), dom, eps).items():
+        estimates = _estimates(query, with_replacement=with_replacement,
+                               samples=n_samples, seed=sample_seed)
+        assert estimates[0] == estimates[1], metric
 
 
 def test_random_queries_of_every_kind_are_both_decided_and_open():
     rng = random.Random(3)
-    outcomes = {kind: set() for kind in ("learnability_accuracy", "safety_accuracy", "robustness")}
+    outcomes = {metric: set() for metric in ("learnability", "safety", "robustness")}
     for _ in range(80):
         dom = make_domain([(lo, lo + rng.randint(0, 3)) for lo in (rng.randint(-8, 8) for _ in range(2))])
-        for report, kwargs in _queries(rng, dom, rng.randint(0, 2))[1]:
-            outcomes[kwargs["kind"]].add(report.decided_label is None)
+        for metric, query in _queries(rng, dom, rng.randint(0, 2)).items():
+            # a safety query whose Pre holds nowhere decides nothing
+            decided = _run(query)[1]
+            outcomes[metric].add(decided in ([], [None]))
     assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
 
@@ -97,15 +117,11 @@ def test_a_label_from_difference_bounds_leaves_the_estimate_unchanged(n_samples,
     prop = SafetyProperty(
         parse_predicate("x0 <= 4 && x1 >= 1 && x1 <= 5 && x0 != 3", dom), frozenset({0})
     )
-    queries = [
-        (robustness(net, (2, 3), 2, dom), {"kind": "robustness", "center": (2, 3), "epsilon": 2}),
-        (safety(net, prop, dom), {"kind": "safety_accuracy", "prop": prop}),
-    ]
-    for report, kwargs in queries:
-        assert report.decided_label == 1, kwargs["kind"]
-        estimates = [
-            statistical_baseline(net, dom, n_samples=n_samples, with_replacement=with_replacement,
-                                 decided_label=label, **kwargs)
-            for label in (1, None)
-        ]
-        assert estimates[0] == estimates[1], kwargs["kind"]
+    queries = {
+        "robustness": lambda **kw: robustness(net, (2, 3), 2, dom, **kw),
+        "safety": lambda **kw: safety(net, prop, dom, **kw),
+    }
+    for metric, query in queries.items():
+        assert _run(query)[1] == [1], metric
+        estimates = _estimates(query, with_replacement=with_replacement, samples=n_samples)
+        assert estimates[0] == estimates[1], metric

@@ -11,10 +11,10 @@ from exactml.circuit import (
     compile_network,
     compile_predicate,
     compile_tree,
-    compose_metric,
     constrain_region,
     partial_evaluate,
 )
+from exactml.metrics import binary_truth, learnability_roots
 from exactml.models import eval_model, load_network, load_tree
 from exactml.oracle import enumerate_domain
 from exactml.predicates import (
@@ -234,36 +234,44 @@ class TestCompilePredicate:
 
 
 class TestComposeMetric:
-    def _circuit(self, bits2_domain, xor_tree):
-        c = compile_tree(xor_tree, bits2_domain)
-        # truth identical to the model's own label-1 wire
-        c.set_output("truth_1", c.output("model_1"))
-        c.set_output("truth_0", c.output("model_0"))
-        return c
+    """The confusion cells that `metrics.learnability_roots` composes of each
+    label's truth and model wires."""
 
-    def test_tp_with_truth_equal_model(self, bits2_domain, xor_tree):
-        c = self._circuit(bits2_domain, xor_tree)
-        root = compose_metric(c, 1, "tp")
-        assert root == c.output("model_1")
+    @staticmethod
+    def _truth_equal_model(bits2_domain):
+        # the model's wires are the truth predicates themselves, which
+        # `compile_predicate` compiles once per object
+        c = Circuit(bits2_domain)
+        truth = binary_truth(parse_predicate("f0 != f1", bits2_domain))
+        for l, pred in truth.items():
+            compile_predicate(c, pred, f"model_{l}")
+        return c, learnability_roots(c, truth)
 
-    def test_fp_with_truth_equal_model_is_false(self, bits2_domain, xor_tree):
-        c = self._circuit(bits2_domain, xor_tree)
-        root = compose_metric(c, 1, "fp")
-        assert c.const_value(root) is False
+    def test_tp_with_truth_equal_model(self, bits2_domain):
+        c, roots = self._truth_equal_model(bits2_domain)
+        assert roots["tp:1"] == c.output("model_1")
 
-    def test_missing_wire(self, bits2_domain, xor_tree):
-        c = compile_tree(xor_tree, bits2_domain)
+    def test_fp_with_truth_equal_model_is_false(self, bits2_domain):
+        c, roots = self._truth_equal_model(bits2_domain)
+        assert c.const_value(roots["fp:1"]) is False
+
+    def test_missing_wire(self, bits2_domain):
+        c = Circuit(bits2_domain)
         with pytest.raises(KeyError, match="missing wire"):
-            compose_metric(c, 1, "tp")
+            learnability_roots(c, {1: parse_predicate("f0 <= 0", bits2_domain)})
 
     def test_metric_roots_partition(self, bits2_domain, xor_tree):
         c = compile_tree(xor_tree, bits2_domain)
-        compile_predicate(c, parse_predicate("f0 <= 0", bits2_domain), "truth_1")
-        compile_predicate(c, parse_predicate("f0 >= 1", bits2_domain), "truth_0")
-        roots = {kind: compose_metric(c, 1, kind) for kind in ("tp", "fp", "tn", "fn")}
+        roots = learnability_roots(c, {1: parse_predicate("f0 <= 0", bits2_domain),
+                                       0: parse_predicate("f0 >= 1", bits2_domain)})
+        assert list(roots) == [f"{cell}:{l}" for l in (0, 1) for cell in ("tp", "fp", "tn", "fn")]
         for pt in enumerate_domain(bits2_domain):
             values = c.simulate(pt)
-            assert sum(values[r] for r in roots.values()) == 1
+            for l in (0, 1):
+                truth, model = values[c.output(f"truth_{l}")], values[c.output(f"model_{l}")]
+                cells = {cell: values[roots[f"{cell}:{l}"]] for cell in ("tp", "fp", "tn", "fn")}
+                assert cells == {"tp": truth and model, "fp": not truth and model,
+                                 "tn": not truth and not model, "fn": truth and not model}
 
 
 class TestConstrainRegion:

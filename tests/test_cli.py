@@ -10,6 +10,7 @@ import pytest
 
 import exactml.cnf
 import exactml.metrics
+import exactml.predicates
 from exactml.cli import build_parser, main
 from exactml.cnf import CnfFormula, emit_dimacs, parse_dimacs
 from exactml.counter import count_projected
@@ -150,6 +151,22 @@ class TestLearnability:
                     "--property", "reflexive", "--nodes", "3", "--samples", "-1"])
         assert code == 1
         assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command",
+                             [["learnability"], ["oracle"], ["emit", "--formula", "tp:1"]],
+                             ids=["learnability", "oracle", "emit"])
+    def test_three_labels_fail_before_the_property_is_built(self, workdir, capsys, monkeypatch,
+                                                            command):
+        built = []
+        monkeypatch.setattr(exactml.predicates, "builtin_graph_property",
+                            lambda *a: built.append(a))
+        (workdir / "three.json").write_text(json.dumps(constant_tree_doc(2, num_labels=3)))
+        code = run([*command, "--domain", "graph3", "--model", workdir / "three.json",
+                    "--property", "transitive", "--nodes", "3"])
+        assert (code, built) == (1, [])
+        assert capsys.readouterr().err == (
+            "error: the CLI drives binary problems; use the API for more labels\n"
+        )
 
 
 class TestUsageErrors:
@@ -574,6 +591,23 @@ class TestOracleCommand:
         assert run(["oracle", *args, "--diff", report, "--out", tmp_path / "oracle.json"]) == 1
         assert f"report kind '{command[0]}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["0", False, True, 1.0, [0]],
+                             ids=["string", "false", "true", "float", "list"])
+    def test_diff_cell_that_is_not_a_count(self, workdir, capsys, cell):
+        args = ["--domain", "graph3", "--model", workdir / "reflexive_tree.json",
+                "--property", "reflexive", "--nodes", "3"]
+        report = workdir / "report.json"
+        assert run(["learnability", *args, "--out", report]) == 0
+        doc = json.loads(report.read_text())
+        # the count is 0: `false` would equal it and "0" would be a mismatch
+        assert doc["labels"][1]["fp"] == 0
+        doc["labels"][1]["fp"] = cell
+        report.write_text(json.dumps(doc))
+        assert run(["oracle", *args, "--diff", report]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --diff {report}: label 1 fp must be an integer or null, got {cell!r}\n"
+        )
+
     def test_domain_over_cap(self, workdir, capsys):
         code = run(["oracle", "--domain", "graph5",
                     "--model", workdir / "reflexive_tree.json",
@@ -696,20 +730,26 @@ class TestDecidedBaseline:
         "robustness-decided": ["robustness", "--center", "12,-5", "--epsilon", "2"],
     }
 
-    @pytest.mark.parametrize("with_replacement", [True, False], ids=["replace", "no-replace"])
-    @pytest.mark.parametrize("samples", ["50", "500"])
-    @pytest.mark.parametrize("query", sorted(QUERIES))
-    def test_reports_are_byte_identical(self, tmp_path, monkeypatch, query, samples,
-                                        with_replacement):
+    @staticmethod
+    def argv(tmp_path, query, samples):
+        """The command line of `query` on the 2-feature net, run from `tmp_path`."""
         # a label-1 net everywhere: interval bounds decide it on the whole domain
         (tmp_path / "const-net.json").write_text(json.dumps(
             {"format_version": 1, "kind": "quantized_network", "input_width": 2,
              "layers": [{"weights": [[0, 0], [0, 0]], "biases": [0, 1], "activation": "none"}]}
         ))
-        monkeypatch.chdir(tmp_path)
+        command, *args = query
         net = _two_feature_net(tmp_path)
-        net = net[:4] if query.startswith("robustness") else net
-        args = [*net, *self.QUERIES[query][1:], "--samples", samples]
+        net = net[:4] if command == "robustness" else net
+        return [command, *net, *args, "--samples", samples]
+
+    @pytest.mark.parametrize("with_replacement", [True, False], ids=["replace", "no-replace"])
+    @pytest.mark.parametrize("samples", ["50", "500"])
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_reports_are_byte_identical(self, tmp_path, monkeypatch, query, samples,
+                                        with_replacement):
+        monkeypatch.chdir(tmp_path)
+        argv = self.argv(tmp_path, self.QUERIES[query], samples)
         if not with_replacement:
             baseline = exactml.metrics.statistical_baseline
             monkeypatch.setattr(exactml.metrics, "statistical_baseline",
@@ -726,7 +766,7 @@ class TestDecidedBaseline:
         for decide in (spy, lambda model, domain: None):
             monkeypatch.setattr(exactml.metrics, "bound_label", decide)
             out = tmp_path / f"{len(outs)}.json"
-            assert run([self.QUERIES[query][0], *args, "--out", out]) == 0
+            assert run([*argv, "--out", out]) == 0
             outs.append(out.read_bytes())
         assert (decided[-1] is not None) == query.endswith("-decided")
         assert b'"statistical_baseline"' in outs[0]
@@ -738,7 +778,8 @@ class TestDecidedBaseline:
         monkeypatch.setattr(exactml.metrics, "eval_unchecked",
                             lambda *a: calls.append(a) or unchecked(*a))
         args = [*_two_feature_net(tmp_path)[:4], "--epsilon", "2", "--samples", "50"]
-        for center, evaluations in (("12,-5", 0), ("2,3", 51)):
+        # the open ball reuses the center's label from `robustness`
+        for center, evaluations in (("12,-5", 0), ("2,3", 50)):
             calls.clear()
             assert run(["robustness", *args, "--center", center,
                         "--out", tmp_path / "rob.json"]) == 0
@@ -851,6 +892,39 @@ class TestGoldenDimacs:
                 "--property", "transitive", "--nodes", "3"]
         digest = self._emit_digest(workdir, args, "fn:1", "ind_comment")
         assert digest == self.GOLDEN["graph3-fn:1-ind_comment"]
+
+
+class TestGoldenReports:
+    """The exact bytes of a `--samples 50` report of each metric, on a query
+    that bounds decide and on one they leave open, pinned by sha256 like the
+    DIMACS above, and of a safety report whose Pre holds nowhere."""
+
+    QUERIES = {**TestDecidedBaseline.QUERIES,
+               "safety-vacuous": ["safety", "--pre", "x0 > 15", "--post", "0"]}
+    GOLDEN = {
+        "learnability":
+            "b7c9da1f98de5768b68ad98f3558497e863893145f0410924b90311f5407b57b",
+        "learnability-decided":
+            "23a2b078164ac5098ed720973a4115e434811993ff59e45341ae002b46a57512",
+        "robustness":
+            "738abfdd40b21044465387f2f8131be1352af98d8b1095ddd26afdc53df9ca6b",
+        "robustness-decided":
+            "80da61edc21f4d99b8ac8ec819989e4055ff182fee2f500596c7e26b9ca2f8ef",
+        "safety":
+            "fa17be14c94d24a2b920e40b0219a88d6f65b249503f7da7438c2ff6554fb1a5",
+        "safety-decided":
+            "763387ff2043eabd874c778f6361979105be81adebe2f2c763509041d2d9c460",
+        "safety-vacuous":
+            "b537dbafaa671f0edda113f28fb58e143db3d78550cbdecd28769782942cae92",
+    }
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_report(self, tmp_path, monkeypatch, query):
+        monkeypatch.chdir(tmp_path)
+        argv = TestDecidedBaseline.argv(tmp_path, self.QUERIES[query], "50")
+        out = tmp_path / "report.json"
+        assert run([*argv, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[query]
 
 
 class TestGapReports:

@@ -3,9 +3,10 @@ import random
 import pytest
 
 import exactml.cnf
-from exactml.circuit import Circuit, compile_model, compile_predicate, compile_tree, compose_metric
+from exactml.circuit import Circuit, compile_model, compile_predicate, compile_tree
 from exactml.cnf import DIALECTS, CnfFormula, DimacsError, emit_dimacs, parse_dimacs, tseitin
 from exactml.counter import count_projected, probe_functional_extension
+from exactml.metrics import learnability_roots
 from exactml.oracle import enumerate_domain
 from exactml.predicates import GRAPH_PROPERTIES, builtin_graph_property, graph_domain
 
@@ -270,9 +271,8 @@ class TestGateTemplates:
         c = compile_tree(random_tree(random.Random(1803), dom), dom)
         for name in GRAPH_PROPERTIES:
             self._check(c, compile_predicate(c, builtin_graph_property(name, 3), "t"))
-        c.set_output("truth_1", compile_predicate(c, builtin_graph_property("transitive", 3), "t"))
-        for kind in ("tp", "fp", "tn", "fn"):
-            self._check(c, compose_metric(c, 1, kind))
+        for root in learnability_roots(c, {1: builtin_graph_property("transitive", 3)}).values():
+            self._check(c, root)
 
     def test_edge_cases(self):
         dom = make_domain([(0, 2), (0, 4)])

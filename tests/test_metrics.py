@@ -6,9 +6,10 @@ import pytest
 
 import exactml.metrics
 from exactml.bdd import count_roots
-from exactml.circuit import WidthOverflowError, compile_model
+from exactml.circuit import WidthOverflowError, bound_label, compile_model
 from exactml.counter import CountResult
 from exactml.metrics import (
+    Baseline,
     binary_truth,
     count_over,
     learnability,
@@ -24,6 +25,7 @@ from exactml.models import load_network, load_tree
 from exactml.oracle import brute_learnability, brute_robustness
 from exactml.predicates import (
     SafetyProperty,
+    bounding_box,
     builtin_graph_property,
     graph_domain,
     parse_predicate,
@@ -255,9 +257,9 @@ class TestIntervalDecided:
         ball = region((12, 2), 2, dom)
         assert interval_label(net, ball) == 0
         report = robustness(net, (12, 2), 2, dom, count_fn=_never)
-        assert (report.correct_count, report.robustness, report.decided_label) == (25, 1, 0)
+        assert (report.correct_count, report.robustness) == (25, 1)
         compiled = self._compiled_path(monkeypatch, robustness, net, (12, 2), 2, dom)
-        assert report == compiled and compiled.decided_label is None
+        assert report == compiled
         assert robustness_to_document(report) == robustness_to_document(compiled)
 
     @pytest.mark.parametrize("allowed, counts", [({0}, (25, 25, 0)), ({1}, (25, 0, 25))])
@@ -267,9 +269,9 @@ class TestIntervalDecided:
         )
         report = safety(net, prop, dom, count_fn=_pre_only)
         assert (report.pre_size, report.sat_count, report.viol_count) == counts
-        assert report.decided_label == 0
+        assert bound_label(net, bounding_box(prop.pre, dom)) == 0
         compiled = self._compiled_path(monkeypatch, safety, net, prop, dom)
-        assert report == compiled and compiled.decided_label is None
+        assert report == compiled
         assert safety_to_document(report) == safety_to_document(compiled)
 
     def test_an_open_decision_still_compiles_the_network(self, dom, net):
@@ -278,7 +280,7 @@ class TestIntervalDecided:
             safety(net, prop, dom, count_fn=_pre_only)
         with pytest.raises(AssertionError, match="counted"):
             robustness(net, (12, 12), 1, dom, count_fn=_never)
-        assert robustness(net, (12, 12), 1, dom).decided_label is None
+        assert bound_label(net, region((12, 12), 1, dom)) is None
 
     def test_an_exhausted_pre_leaves_the_constant_count(self, dom, net):
         # a Pre that is its own bounding box would fold to a constant there
@@ -366,46 +368,49 @@ class TestCountOver:
             compile_model(net, dom)
         truth = binary_truth(parse_predicate("f0 <= f1", dom))
         report = learnability(net, truth, dom)
-        assert _equals_oracle(report, net, truth, dom) and report.decided_label == 0
+        assert _equals_oracle(report, net, truth, dom) and bound_label(net, dom) == 0
+
+
+def _sample_exhaustively(monkeypatch):
+    """Make every metric's baseline sample without replacement."""
+    sample = exactml.metrics.statistical_baseline
+    monkeypatch.setattr(exactml.metrics, "statistical_baseline",
+                        lambda *a, **kw: sample(*a, **kw, with_replacement=False))
 
 
 class TestStatisticalBaseline:
-    def test_exhaustive_sampling_equals_exact(self, bits2_domain, xor_tree):
-        est = statistical_baseline(
-            xor_tree, bits2_domain, kind="robustness", n_samples=4,
-            with_replacement=False, center=(0, 0), epsilon=1,
-        )
-        assert est == Fraction(1, 2)
+    def test_exhaustive_sampling_equals_exact(self, monkeypatch, bits2_domain, xor_tree):
+        _sample_exhaustively(monkeypatch)
+        report = robustness(xor_tree, (0, 0), 1, bits2_domain, samples=4)
+        assert report.baseline == Baseline(4, 0, Fraction(1, 2))
+        assert report.robustness == Fraction(1, 2)
 
     def test_constant_classifier_estimate_is_one(self):
         dom = make_domain([(0, 7)] * 2)
         tree = load_tree(constant_tree_doc(0), dom)
         for seed in (0, 1, 2, 99):
-            est = statistical_baseline(
-                tree, dom, kind="robustness", n_samples=50, seed=seed,
-                center=(3, 3), epsilon=2,
-            )
-            assert est == 1
+            report = robustness(tree, (3, 3), 2, dom, samples=50, seed=seed)
+            assert report.baseline == Baseline(50, seed, Fraction(1))
 
     def test_frozen_seed_estimate(self, bits2_domain, xor_tree):
-        est = statistical_baseline(
-            xor_tree, bits2_domain, kind="robustness", n_samples=10000, seed=0,
-            with_replacement=True, center=(0, 0), epsilon=1,
-        )
+        est = robustness(xor_tree, (0, 0), 1, bits2_domain, samples=10000, seed=0).baseline.estimate
         assert est == Fraction(312, 625)  # 0.4992, within 0.05 of the exact 0.5
         assert abs(est - Fraction(1, 2)) < Fraction(5, 100)
 
-    def test_learnability_accuracy_exhaustive(self, graph4, reflexive4=None):
+    def test_learnability_accuracy_exhaustive(self, monkeypatch):
+        _sample_exhaustively(monkeypatch)
         dom = make_domain([(0, 1)] * 4)
         rng = random.Random(4)
         tree = random_tree(rng, dom, num_labels=2)
         truth = truth_family(rng, dom, 2)
-        est = statistical_baseline(
-            tree, dom, kind="learnability_accuracy", n_samples=16,
-            with_replacement=False, truth_predicates=truth,
-        )
-        report = learnability(tree, truth, dom)
-        assert est == report.labels[1].accuracy
+        report = learnability(tree, truth, dom, samples=16)
+        assert report.baseline.estimate == report.labels[1].accuracy
+
+    def test_no_samples_no_baseline(self, dom, net):
+        prop = SafetyProperty(parse_predicate("f0 >= 8", dom), frozenset({0}))
+        for report in (learnability(net, binary_truth(prop.pre), dom), safety(net, prop, dom),
+                       robustness(net, (12, 12), 2, dom)):
+            assert report.baseline is None
 
     def test_a_decided_ball_evaluates_the_model_nowhere(self, monkeypatch, dom, net):
         calls = []
@@ -418,40 +423,39 @@ class TestStatisticalBaseline:
 
         for name in ("eval_model", "eval_unchecked"):
             monkeypatch.setattr(exactml.metrics, name, counting(getattr(exactml.metrics, name)))
-        # 50 samples and the center where the ball is open
-        for center, label, evaluations in (((12, 2), 0, 0), ((12, 12), None, 51)):
-            report = robustness(net, center, 2, dom)
-            assert report.decided_label == label
+        # the evaluations that 50 samples add; the open ball reuses the
+        # center's label from the exact count
+        for center, decided, evaluations in (((12, 2), True, 0), ((12, 12), False, 50)):
+            assert (bound_label(net, region(center, 2, dom)) is not None) == decided
             calls.clear()
-            est = statistical_baseline(
-                net, dom, kind="robustness", n_samples=50, center=center, epsilon=2,
-                decided_label=report.decided_label,
-            )
-            assert len(calls) == evaluations
-            assert (est == 1) == (label is not None)
+            robustness(net, center, 2, dom)
+            exact_only = len(calls)
+            calls.clear()
+            est = robustness(net, center, 2, dom, samples=50).baseline.estimate
+            assert len(calls) - exact_only == evaluations
+            assert (est == 1) == decided
 
-    def test_samples_are_drawn_as_they_are_scored(self, dom, net):
-        # the decided label scores every sample without the net, so what is
-        # left to trace is the sampler: a list of the 50,000 draws is 400 KB
-        prop = SafetyProperty(parse_predicate("f0 >= 8", dom), frozenset({0}))
+    def test_samples_are_drawn_as_they_are_scored(self, dom):
+        # what is left to trace with a constant outcome is the sampler: a
+        # list of the 50,000 draws is 400 KB
         tracemalloc.start()
         try:
-            est = statistical_baseline(
-                net, dom, kind="safety_accuracy", n_samples=50_000, prop=prop, decided_label=0,
-            )
+            est = statistical_baseline(dom, lambda point: True, n_samples=50_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert est == 1
         assert peak < 64 * 1024
 
-    def test_safety_accuracy_estimate(self, bits2_domain, xor_tree):
+    def test_safety_accuracy_estimate(self, monkeypatch, bits2_domain, xor_tree):
+        _sample_exhaustively(monkeypatch)
         prop = SafetyProperty(parse_predicate("true", bits2_domain), frozenset({0, 1}))
-        est = statistical_baseline(
-            xor_tree, bits2_domain, kind="safety_accuracy", n_samples=4,
-            with_replacement=False, prop=prop,
-        )
-        assert est == 1
+        assert safety(xor_tree, prop, bits2_domain, samples=4).baseline.estimate == 1
+        # a sample outside Pre is not scored: label 1 holds on one of the two
+        # points with f0 = 0
+        prop = SafetyProperty(parse_predicate("f0 <= 0", bits2_domain), frozenset({1}))
+        report = safety(xor_tree, prop, bits2_domain, samples=4)
+        assert report.baseline.estimate == report.accuracy == Fraction(1, 2)
 
 
 class TestReportDocuments:

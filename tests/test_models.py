@@ -51,6 +51,12 @@ class TestDomain:
         with pytest.raises(ModelError):
             load_domain("not json {")
 
+    def test_deeply_nested_text_is_a_model_error(self, bits2_domain):
+        with pytest.raises(ModelError, match="nested too deeply"):
+            load_domain("[" * 100_000)
+        with pytest.raises(ModelError, match="nested too deeply"):
+            load_tree("[" * 100_000 + "]" * 100_000, bits2_domain)
+
     def test_bit_widths(self):
         dom = make_domain([(0, 0), (0, 1), (0, 2), (3, 10)])
         assert [f.bit_width for f in dom.features] == [0, 1, 2, 3]
