@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
-import shlex
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -51,19 +49,34 @@ def _read_json(path: str) -> dict:
         raise CliError(f"{path}: JSON nested too deeply") from exc
 
 
-def _load_domain(arg: Optional[str], nodes: Optional[int]):
-    if arg:
-        match = _GRAPH_DOMAIN_RE.match(arg)
-        if match and not Path(arg).exists():
-            return predicates.graph_domain(int(match.group(1)))
-        return models.load_domain(_read_json(arg))
-    if nodes:
-        return predicates.graph_domain(nodes)
-    raise CliError("need --domain (or --nodes for a graph domain)")
+def _graph_nodes(domain) -> Optional[int]:
+    """N if the domain is N·N binary features, the shape of an N-node graph; else None."""
+    n = math.isqrt(len(domain.features))
+    binary = all((f.lo, f.hi) == (0, 1) for f in domain.features)
+    return n if n and n * n == len(domain.features) and binary else None
 
 
-def _load_model(path: str, domain):
-    return models.load_model(_read_json(path), domain)
+def _load_domain(args):
+    """--domain, or the graph domain of --nodes; with both, --nodes must fit the domain."""
+    if not args.domain:
+        if args.nodes is None:
+            raise CliError("need --domain (or --nodes for a graph domain)")
+        return predicates.graph_domain(args.nodes)
+    match = _GRAPH_DOMAIN_RE.match(args.domain)
+    if match and not Path(args.domain).exists():
+        domain = predicates.graph_domain(int(match.group(1)))
+    else:
+        domain = models.load_domain(_read_json(args.domain))
+    if args.nodes is not None and _graph_nodes(domain) != args.nodes:
+        raise CliError(f"--nodes {args.nodes} does not fit --domain {args.domain}: "
+                       f"N nodes need a domain of N·N binary features")
+    return domain
+
+
+def _load_inputs(args):
+    """The domain and the model of a command."""
+    domain = _load_domain(args)
+    return domain, models.load_model(_read_json(args.model), domain)
 
 
 def _predicate_file(arg: str) -> Optional[str]:
@@ -78,21 +91,16 @@ def _predicate_file(arg: str) -> Optional[str]:
     )
 
 
-def _predicate_from_arg(arg: str, domain, nodes: Optional[int]):
-    """--property value: a predicate file, or a builtin graph property name."""
+def _predicate_from_arg(arg: str, domain):
+    """--property value: a predicate file, or a builtin graph property over the domain's graph."""
     text = _predicate_file(arg)
     if text is not None:
         return predicates.parse_predicate(text, domain)
     if arg.lower() in predicates.GRAPH_PROPERTIES:
-        if not nodes:
-            raise CliError("builtin graph properties need --nodes")
-        if len(domain.features) != nodes * nodes or any(
-            (f.lo, f.hi) != (0, 1) for f in domain.features
-        ):
-            raise CliError(
-                f"builtin graph properties with --nodes {nodes} need a domain of "
-                f"{nodes * nodes} binary features (got {len(domain.features)})"
-            )
+        nodes = _graph_nodes(domain)
+        if nodes is None:
+            raise CliError(f"builtin graph properties need a domain of N·N binary features "
+                           f"(got {len(domain.features)} features)")
         return predicates.builtin_graph_property(arg, nodes)
     raise CliError(f"no such predicate file or builtin property: {arg}")
 
@@ -114,36 +122,19 @@ def _parse_post(arg: str, n_labels: int) -> frozenset:
 def _make_count_fn(backend: str, budget: int, dialect: str):
     if backend == "builtin":
         return lambda circuit, roots: bdd.count_roots(circuit, roots, budget)
-    for prefix, tool in (("external:", "projected_exact"), ("external-approx:", "approximate")):
-        if backend.startswith(prefix):
-            template = backend[len(prefix):]
-            if "{file}" not in template:
-                raise CliError("external backend template needs a {file} placeholder")
-
-            def run_external(cnf, template=template, tool=tool):
-                with tempfile.NamedTemporaryFile(
-                    "w", suffix=".cnf", delete=False
-                ) as handle:
-                    handle.write(cnf_mod.emit_dimacs(cnf, dialect))
-                    path = handle.name
-                try:
-                    argv = shlex.split(template.replace("{file}", path))
-                    proc = subprocess.run(argv, capture_output=True, text=True)
-                finally:
-                    Path(path).unlink(missing_ok=True)
-                if proc.returncode != 0:
-                    raise CliError(
-                        f"external counter exited with code {proc.returncode}: "
-                        f"{proc.stderr.strip()}"
-                    )
-                return counter_mod.parse_external_count(proc.stdout, tool)
-
-            return metrics_mod.tseitin_count_fn(run_external)
-    raise CliError(f"unknown backend {backend!r}")
+    kind, colon, template = backend.partition(":")
+    tool = {"external": "projected_exact", "external-approx": "approximate"}.get(kind)
+    if not colon or tool is None:
+        raise CliError(f"unknown backend {backend!r}")
+    if "{file}" not in template:
+        raise CliError("external backend template needs a {file} placeholder")
+    return metrics_mod.tseitin_count_fn(functools.partial(
+        counter_mod.count_external, template=template, tool=tool, dialect=dialect
+    ))
 
 
-def _write_output(doc: dict, out: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
+    """Write a report's or a formula's text to the file `out`, or to standard output."""
     if out:
         Path(out).write_text(text)
     else:
@@ -155,7 +146,7 @@ def _truth_predicates(args, domain, n_labels):
         raise CliError("need --property (builtin name or predicate file)")
     if n_labels != 2:
         raise CliError("the CLI drives binary problems; use the API for more labels")
-    return metrics_mod.binary_truth(_predicate_from_arg(args.property, domain, args.nodes))
+    return metrics_mod.binary_truth(_predicate_from_arg(args.property, domain))
 
 
 def _metric_options(args) -> dict:
@@ -166,20 +157,23 @@ def _metric_options(args) -> dict:
 
 def _finish(args, report, to_document) -> int:
     """Write the report's document; the exit code is 2 if it has gaps."""
-    _write_output(to_document(report), args.out)
+    _write(json.dumps(to_document(report), indent=2) + "\n", args.out)
     return EXIT_BUDGET if report.gaps else EXIT_OK
 
 
 def cmd_learnability(args) -> int:
-    domain = _load_domain(args.domain, args.nodes)
-    model = _load_model(args.model, domain)
+    domain, model = _load_inputs(args)
     truth = _truth_predicates(args, domain, model.num_labels)
     report = metrics_mod.learnability(model, truth, domain, **_metric_options(args))
     return _finish(args, report, metrics_mod.metrics_to_document)
 
 
 def _safety_property(args, domain, n_labels):
+    """--pre and --post, or (without --pre) the property document named by --property."""
     if args.property and not args.pre:
+        if args.post is not None:
+            raise CliError("a --property document holds its own post labels; "
+                           "give --pre with --post")
         doc = _read_json(args.property)
         return predicates.load_safety_property(doc, domain, n_labels)
     if args.pre is None or args.post is None:
@@ -190,8 +184,9 @@ def _safety_property(args, domain, n_labels):
 
 
 def cmd_safety(args) -> int:
-    domain = _load_domain(args.domain, args.nodes)
-    model = _load_model(args.model, domain)
+    if args.property and args.pre:
+        raise CliError("give safety either --property (a property document) or --pre and --post")
+    domain, model = _load_inputs(args)
     prop = _safety_property(args, domain, model.num_labels)
     report = metrics_mod.safety(model, prop, domain, **_metric_options(args))
     return _finish(args, report, metrics_mod.safety_to_document)
@@ -207,8 +202,7 @@ def _parse_center(arg: Optional[str]) -> tuple[int, ...]:
 
 
 def cmd_robustness(args) -> int:
-    domain = _load_domain(args.domain, args.nodes)
-    model = _load_model(args.model, domain)
+    domain, model = _load_inputs(args)
     center = _parse_center(args.center)
     report = metrics_mod.robustness(model, center, args.epsilon, domain, **_metric_options(args))
     return _finish(args, report, metrics_mod.robustness_to_document)
@@ -252,73 +246,59 @@ def _build_formula(args, domain, model):
 
 
 def cmd_emit(args) -> int:
-    domain = _load_domain(args.domain, args.nodes)
-    model = _load_model(args.model, domain)
+    domain, model = _load_inputs(args)
     # no name keeps the circuit: it is freed before the text is formatted
     formula = cnf_mod.tseitin(*_build_formula(args, domain, model))
-    text = cnf_mod.emit_dimacs(formula, args.dialect)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(cnf_mod.emit_dimacs(formula, args.dialect), args.out)
     print(f"projection variables: {len(formula.projection)}", file=sys.stderr)
     return EXIT_OK
 
 
+def _read_prior_counts(path: str, n_labels: int) -> list:
+    """A learnability report's counts as (name, count) pairs: domain_size, then each cell.
+
+    A count is an integer, or null for a budget gap; JSON true/false are not counts.
+    """
+    prior = _read_json(path)
+    kind = prior.get("report") if isinstance(prior, dict) else None
+    if kind != "learnability":
+        raise CliError(f"--diff takes a learnability report, got report kind {kind!r} from {path}")
+    entries = prior.get("labels", [])
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, dict) and type(entry.get("label")) is int
+        and 0 <= entry["label"] < n_labels
+        for entry in entries
+    ):
+        raise CliError(f"--diff {path}: labels must be a list of objects, each with "
+                       f"an integer label of the model (0..{n_labels - 1})")
+    pairs = [("domain_size", prior.get("domain_size"))] + [
+        (f"label {entry['label']} {cell}", entry.get(cell)) for entry in entries for cell in _CELLS
+    ]
+    for name, count in pairs:
+        if count is not None and type(count) is not int:
+            raise CliError(f"--diff {path}: {name} must be an integer or null, got {count!r}")
+    return pairs
+
+
 def cmd_oracle(args) -> int:
-    domain = _load_domain(args.domain, args.nodes)
-    model = _load_model(args.model, domain)
+    domain, model = _load_inputs(args)
     truth = _truth_predicates(args, domain, model.num_labels)
-    prior = None
-    if args.diff:
-        prior = _read_json(args.diff)
-        kind = prior.get("report") if isinstance(prior, dict) else None
-        if kind != "learnability":
-            raise CliError(f"--diff takes a learnability report, got report kind {kind!r} "
-                           f"from {args.diff}")
-        entries = prior.get("labels", [])
-        if not isinstance(entries, list) or not all(
-            isinstance(entry, dict) and type(entry.get("label")) is int
-            and 0 <= entry["label"] < model.num_labels
-            for entry in entries
-        ):
-            raise CliError(f"--diff {args.diff}: labels must be a list of objects, each with "
-                           f"an integer label of the model (0..{model.num_labels - 1})")
-        for entry in entries:
-            for cell in _CELLS:
-                # a null cell is a budget gap; JSON true/false are not counts
-                if entry.get(cell) is not None and type(entry[cell]) is not int:
-                    raise CliError(f"--diff {args.diff}: label {entry['label']} {cell} must be "
-                                   f"an integer or null, got {entry[cell]!r}")
-    try:
-        report = oracle.brute_learnability(model, truth, domain, cap=args.cap)
-    except oracle.OracleCapError as exc:
-        raise CliError(str(exc)) from exc
+    prior = _read_prior_counts(args.diff, model.num_labels) if args.diff else []
+    report = oracle.brute_learnability(model, truth, domain, cap=args.cap)
+    labels = sorted({label for label, _ in report.counts})
     doc = {
         "format_version": 1,
         "report": "oracle",
         "domain_size": report.domain_size,
-        "counts": {
-            str(label): {cell: report.counts[(label, cell)] for cell in _CELLS}
-            for label in sorted({l for l, _ in report.counts})
-        },
+        "counts": {str(l): {cell: report.counts[(l, cell)] for cell in _CELLS} for l in labels},
         "fingerprint": report.fingerprint,
     }
-    _write_output(doc, args.out)
-    if prior is not None:
-        for entry in entries:
-            label = entry["label"]
-            for cell in _CELLS:
-                want = report.counts[(label, cell)]
-                got = entry.get(cell)
-                if got is not None and got != want:
-                    print(
-                        f"mismatch at label {label} {cell}: report has {got}, oracle has {want}",
-                        file=sys.stderr,
-                    )
-                    return EXIT_MISMATCH
-        if prior.get("domain_size") not in (None, report.domain_size):
-            print("mismatch at domain_size", file=sys.stderr)
+    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    want = {"domain_size": report.domain_size}
+    want.update((f"label {l} {cell}", count) for (l, cell), count in report.counts.items())
+    for name, got in prior:
+        if got is not None and got != want[name]:
+            print(f"mismatch at {name}: report has {got}, oracle has {want[name]}", file=sys.stderr)
             return EXIT_MISMATCH
     return EXIT_OK
 
@@ -345,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     def inputs(p):
         p.add_argument("--domain", help="domain JSON file, or graphN for an N-node graph domain")
         p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--nodes", type=int, help="graph size for builtin properties")
+        p.add_argument("--nodes", type=int,
+                       help="N of an N-node graph domain (without --domain; must fit it otherwise)")
         p.add_argument("--out", help="output file (default: stdout)")
 
     def prop(p):
@@ -437,16 +418,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except (
-        CliError,
-        models.ModelError,
-        predicates.PredicateError,
-        cnf_mod.DimacsError,
-        circuit_mod.WidthOverflowError,
-        ValueError,
-        KeyError,
-        OSError,
-    ) as exc:
+    except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -1,4 +1,4 @@
-"""Exact projected model counting, plus adapters for external counters.
+"""Exact projected model counting, plus the runner of external counters.
 
 `count_projected` is the package's one counting entry point. A
 `bdd.CircuitRoot` counts itself through its manager (truth tables or a
@@ -25,11 +25,15 @@ once, with no blocking clauses.
 from __future__ import annotations
 
 import re
+import shlex
+import subprocess
+import tempfile
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
-from .cnf import CnfFormula
+from .cnf import CnfFormula, emit_dimacs
 
 DEFAULT_BUDGET = 10_000_000
 ENUMERATE_CAP = 24
@@ -433,7 +437,7 @@ def count_enumerate(cnf: CnfFormula) -> CountResult:
 
 
 # ---------------------------------------------------------------------------
-# External counter output parsing
+# External counters
 # ---------------------------------------------------------------------------
 
 _MC_LINE = re.compile(r"^s\s+mc\s+(\d+)\s*$", re.MULTILINE)
@@ -458,6 +462,28 @@ def parse_external_count(text: str, tool: str = "projected_exact") -> CountResul
             stats["multiplicative_form"] = match.group(0)
             return CountResult(base * (1 << exp), "external", stats)
     raise ValueError("unrecognized counter output")
+
+
+def count_external(cnf: CnfFormula, template: str, tool: str, dialect: str) -> CountResult:
+    """Count `cnf` with an external counter, given as a command line `template`.
+
+    The formula goes to a temporary DIMACS file in `dialect`, whose path
+    replaces `{file}` in the template. A command that exits nonzero raises
+    ValueError with its stderr; its stdout is read by `parse_external_count`.
+    """
+    with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as handle:
+        handle.write(emit_dimacs(cnf, dialect))
+        path = handle.name
+    try:
+        argv = shlex.split(template.replace("{file}", path))
+        proc = subprocess.run(argv, capture_output=True, text=True)
+    finally:
+        Path(path).unlink(missing_ok=True)
+    if proc.returncode != 0:
+        raise ValueError(
+            f"external counter exited with code {proc.returncode}: {proc.stderr.strip()}"
+        )
+    return parse_external_count(proc.stdout, tool)
 
 
 # ---------------------------------------------------------------------------

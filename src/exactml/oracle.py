@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .models import InputDomain, Model, ModelError, eval_model
@@ -29,7 +29,6 @@ class OracleReport:
     domain_size: int
     counts: dict  # (label, kind) -> count
     fingerprint: str
-    label_totals: dict = field(default_factory=dict)  # label -> |{x : model(x)=l}|
 
 
 def enumerate_domain(domain: InputDomain) -> Iterator[tuple[int, ...]]:
@@ -56,11 +55,9 @@ def brute_learnability(
     for pred in truth_predicates.values():
         validate_predicate(pred, domain)
     counts = {(l, kind): 0 for l in labels for kind in ("tp", "fp", "tn", "fn")}
-    label_totals = {l: 0 for l in labels}
     digest = hashlib.sha256()
     for point in enumerate_domain(domain):
         predicted = eval_model(model, point, domain)
-        label_totals[predicted] += 1
         digest.update(f"{point}:{predicted};".encode())
         for l in labels:
             truth = truth_predicates[l].evaluate(point)
@@ -68,7 +65,7 @@ def brute_learnability(
                 counts[(l, "tp" if predicted == l else "fn")] += 1
             else:
                 counts[(l, "fp" if predicted == l else "tn")] += 1
-    return OracleReport(domain.size(), counts, digest.hexdigest(), label_totals)
+    return OracleReport(domain.size(), counts, digest.hexdigest())
 
 
 def brute_count_predicate(

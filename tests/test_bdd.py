@@ -194,6 +194,23 @@ class TestManagerOnBdd(TestManager):
     METHOD = "bdd"
 
 
+def test_an_input_made_after_a_collection_reuses_a_freed_slot(monkeypatch):
+    monkeypatch.setattr(exactml.bdd, "GC_MIN_NODES", 16)
+    dom = graph_domain(4)
+    circ = Circuit(dom)
+    # symmetry of the first three rows: bit 15, e[3][3], is outside its cone
+    root = compile_predicate(
+        circ, parse_predicate("forall i, j in [0, 3): e[i][j] = 1 => e[j][i] = 1", dom)
+    )
+    manager = BddManager(circ, keep=(root, 15))
+    manager.node_of(root)
+    freed, slots = set(manager.free), len(manager.level)
+    assert freed
+    node = manager.node_of(15)
+    assert node in freed and len(manager.level) == slots
+    assert manager.count(node) == 1 << 15
+
+
 @pytest.mark.parametrize("extra_bits, method", [(0, "table"), (1, "bdd")], ids=["table", "bdd"])
 def test_table_max_bits_is_the_boundary(extra_bits, method):
     # f0 < f1 over two 10-bit features has C(1024, 2) models on either side

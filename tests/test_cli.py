@@ -10,6 +10,7 @@ import pytest
 
 import exactml.cnf
 import exactml.metrics
+import exactml.oracle
 import exactml.predicates
 from exactml.cli import build_parser, main
 from exactml.cnf import CnfFormula, emit_dimacs, parse_dimacs
@@ -132,6 +133,43 @@ class TestLearnability:
                     "--property", "reflexive", "--nodes", "4"])
         assert code == 1
         assert "binary features" in capsys.readouterr().err
+
+    def test_builtin_property_reads_n_from_the_domain(self, workdir):
+        args = ["learnability", "--model", workdir / "reflexive_tree.json",
+                "--property", "transitive"]
+        (workdir / "graph3.json").write_text(json.dumps(
+            domain_to_document(exactml.predicates.graph_domain(3))))
+        outs = []
+        for domain in (["--domain", "graph3", "--nodes", "3"], ["--domain", "graph3"],
+                       ["--nodes", "3"], ["--domain", workdir / "graph3.json"],
+                       ["--domain", workdir / "graph3.json", "--nodes", "3"]):
+            out = workdir / f"{len(outs)}.json"
+            assert run([*args, *domain, "--out", out]) == 0
+            outs.append(out.read_bytes())
+        assert len(set(outs)) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["robustness", "--center", "0,0", "--epsilon", "1"],
+        ["safety", "--pre", "f0 = 1", "--post", "1"],
+        ["learnability", "--property", "f0.pred"],
+    ], ids=["robustness", "safety", "learnability"])
+    def test_nodes_must_fit_any_domain(self, workdir, capsys, monkeypatch, command):
+        monkeypatch.chdir(workdir)
+        (workdir / "f0.pred").write_text("f0 = 1")
+        code = run([*command, "--domain", "bits2.json", "--model", "xor_tree.json",
+                    "--nodes", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --nodes 1 does not fit --domain bits2.json: "
+            "N nodes need a domain of N·N binary features\n")
+
+    def test_builtin_property_needs_a_graph_shaped_domain(self, workdir, capsys):
+        code = run(["learnability", "--domain", workdir / "bits2.json",
+                    "--model", workdir / "xor_tree.json", "--property", "reflexive"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: builtin graph properties need a domain of N·N binary features "
+            "(got 2 features)\n")
 
     @pytest.mark.parametrize("args, error", [
         (["--domain", "graph317", "--property", "reflexive"],
@@ -264,6 +302,27 @@ class TestSafety:
         assert doc["sat_count"] == 2  # xor tree labels (0,1),(1,0) as 1
 
 
+    @pytest.mark.parametrize("command", [["safety"], ["emit", "--formula", "viol"]],
+                             ids=["safety", "emit"])
+    def test_property_document_with_post_is_an_error(self, workdir, capsys, command):
+        prop = workdir / "prop.json"
+        prop.write_text(json.dumps({"format_version": 1, "pre": "f0 <= 0", "allow": [1]}))
+        code = run([*command, "--domain", workdir / "bits2.json",
+                    "--model", workdir / "xor_tree.json", "--property", prop, "--post", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: a --property document holds its own post labels; give --pre with --post\n")
+
+    def test_property_with_pre_is_an_error(self, workdir, capsys):
+        prop = workdir / "prop.json"
+        prop.write_text(json.dumps({"format_version": 1, "pre": "f0 <= 0", "allow": [1]}))
+        code = run(["safety", "--domain", workdir / "bits2.json",
+                    "--model", workdir / "xor_tree.json", "--property", prop,
+                    "--pre", "true", "--post", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: give safety either --property (a property document) or --pre and --post\n")
+
     @pytest.mark.parametrize("post", ["x", "!", "1,", " !0,y "])
     def test_bad_post_value(self, workdir, capsys, post):
         code = run(["safety", "--domain", workdir / "bits2.json",
@@ -347,6 +406,19 @@ class TestPredicateInputs:
         assert time.perf_counter() - started < 1
         assert code == 1
         assert f"more than {MAX_QUANTIFIER_COPIES} copies" in self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("text, error", [
+        ("forall i in [0,2): exists i in [0,2): e[i][i] = 1",
+         "position 26: variable 'i' already bound"),
+        ("forall i in [0,2): e[i][k] = 1", "position 24: unknown index 'k'"),
+    ], ids=["rebound", "unknown-index"])
+    def test_quantifier_name_error(self, workdir, capsys, text, error):
+        pred = workdir / "quantified.pred"
+        pred.write_text(text)
+        code = run(["learnability", "--domain", "graph2", "--model", workdir / "const0.json",
+                    "--property", pred])
+        assert code == 1
+        assert self._one_error_line(capsys) == f"error: syntax error at {error}\n"
 
     def test_deepest_predicate_at_the_limit_runs(self, tmp_path):
         # each level is an implication's left side: Or, Not, then `||` and
@@ -504,7 +576,7 @@ class TestEmitCountsLikeMetrics:
             return json.loads(out.read_text())
 
         learn = report("learnability", *prop)
-        safe, rob = report("safety", *prop, *pre_post), report("robustness", *ball)
+        safe, rob = report("safety", *pre_post), report("robustness", *ball)
         want = {"pre": safe["pre_size"], "sat": safe["sat_count"], "viol": safe["viol_count"],
                 "robustness": rob["correct_count"]}
         truth = binary_truth(parse_predicate(self.TRUTH, domain))
@@ -608,6 +680,35 @@ class TestOracleCommand:
             f"error: --diff {report}: label 1 fp must be an integer or null, got {cell!r}\n"
         )
 
+    @pytest.mark.parametrize("size", ["512", [512], True, 512.0],
+                             ids=["string", "list", "true", "float"])
+    def test_diff_domain_size_that_is_not_a_count(self, workdir, capsys, monkeypatch, size):
+        args = ["--domain", "graph3", "--model", workdir / "reflexive_tree.json",
+                "--property", "reflexive"]
+        report = workdir / "report.json"
+        assert run(["learnability", *args, "--out", report]) == 0
+        doc = json.loads(report.read_text())
+        doc["domain_size"] = size
+        report.write_text(json.dumps(doc))
+        # the report is checked before the domain is enumerated
+        monkeypatch.setattr(exactml.oracle, "brute_learnability", None)
+        assert run(["oracle", *args, "--diff", report]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --diff {report}: domain_size must be an integer or null, got {size!r}\n"
+        )
+
+    def test_diff_domain_size_mismatch(self, workdir, capsys):
+        args = ["--domain", "graph3", "--model", workdir / "reflexive_tree.json",
+                "--property", "reflexive"]
+        report = workdir / "report.json"
+        assert run(["learnability", *args, "--out", report]) == 0
+        doc = json.loads(report.read_text())
+        doc["domain_size"] = 511
+        report.write_text(json.dumps(doc))
+        assert run(["oracle", *args, "--diff", report, "--out", workdir / "oracle.json"]) == 3
+        assert capsys.readouterr().err == (
+            "mismatch at domain_size: report has 511, oracle has 512\n")
+
     def test_domain_over_cap(self, workdir, capsys):
         code = run(["oracle", "--domain", "graph5",
                     "--model", workdir / "reflexive_tree.json",
@@ -681,6 +782,19 @@ class TestExternalBackend:
         assert "exited with code 3" in err and stderr in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value, error", [
+        ("--backend", "bogus", "unknown backend 'bogus'"),
+        ("--backend", "external", "unknown backend 'external'"),
+        ("--backend", "builtin:x", "unknown backend 'builtin:x'"),
+        ("--budget", "0", "--budget must be positive"),
+    ], ids=["bogus", "no-template", "builtin-template", "budget"])
+    def test_bad_counting_option(self, workdir, capsys, option, value, error):
+        code = run(["learnability", "--domain", "graph3",
+                    "--model", workdir / "reflexive_tree.json",
+                    "--property", "reflexive", option, value])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_external_backend_bad_template(self, workdir, capsys):
         code = run(["learnability", "--domain", "graph3",
                     "--model", workdir / "reflexive_tree.json",
@@ -740,7 +854,7 @@ class TestDecidedBaseline:
         ))
         command, *args = query
         net = _two_feature_net(tmp_path)
-        net = net[:4] if command == "robustness" else net
+        net = net if command == "learnability" else net[:4]
         return [command, *net, *args, "--samples", samples]
 
     @pytest.mark.parametrize("with_replacement", [True, False], ids=["replace", "no-replace"])

@@ -1,13 +1,17 @@
 import hashlib
 import random
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
 
 from exactml.circuit import Circuit, compile_predicate
-from exactml.cnf import CnfFormula, DimacsError, parse_dimacs, tseitin
+from exactml.cnf import CnfFormula, DimacsError, emit_dimacs, parse_dimacs, tseitin
 from exactml.counter import (
     DEFAULT_BUDGET,
     count_enumerate,
+    count_external,
     count_projected,
     parse_external_count,
     probe_functional_extension,
@@ -260,6 +264,41 @@ class TestParseExternal:
         assert result.count == 64 * 256
         assert result.stats["multiplicative_form"] == "64*2**8"
         assert result.method == "external"
+
+
+class TestCountExternal:
+    """`count_external` runs a stub counter: a Python script named in the template."""
+
+    CNF = CnfFormula(3, ((1, 2), (-3,)), frozenset({1, 2}))
+
+    @staticmethod
+    def template(tmp_path, body):
+        script = tmp_path / "stub.py"
+        script.write_text(body)
+        return f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{file}} {tmp_path}"
+
+    def test_returns_the_counters_count(self, tmp_path):
+        # the stub keeps a copy of the file it was given and the file's path
+        template = self.template(tmp_path, (
+            "import pathlib, sys\n"
+            "src, out = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])\n"
+            "(out / 'seen.cnf').write_text(src.read_text())\n"
+            "(out / 'path.txt').write_text(str(src))\n"
+            "print('c stub counter')\n"
+            "print('s mc 3')\n"
+        ))
+        result = count_external(self.CNF, template, "projected_exact", "pshow_comment")
+        assert (result.count, result.method, result.stats) == (3, "external",
+                                                               {"tool": "projected_exact"})
+        assert (tmp_path / "seen.cnf").read_text() == emit_dimacs(self.CNF, "pshow_comment")
+        assert not Path((tmp_path / "path.txt").read_text()).exists()
+
+    def test_a_nonzero_exit_raises_with_the_counters_stderr(self, tmp_path):
+        template = self.template(
+            tmp_path, "import sys\nsys.stderr.write('out of memory\\n')\nsys.exit(5)\n"
+        )
+        with pytest.raises(ValueError, match=r"^external counter exited with code 5: out of memory$"):
+            count_external(self.CNF, template, "projected_exact", "ind_comment")
 
 
 class TestDeepSearch:

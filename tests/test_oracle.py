@@ -40,8 +40,10 @@ class TestBruteLearnability:
         rng = random.Random(3)
         tree = random_tree(rng, dom, num_labels=3)
         report = brute_learnability(tree, truth_family(rng, dom, 3), dom)
-        assert sum(report.label_totals.values()) == dom.size()
-        for pt_label, total in report.label_totals.items():
+        # tp + fp of a label counts the points the model gives that label
+        totals = {l: report.counts[(l, "tp")] + report.counts[(l, "fp")] for l in range(3)}
+        assert sum(totals.values()) == dom.size()
+        for pt_label, total in totals.items():
             direct = sum(1 for pt in enumerate_domain(dom) if eval_model(tree, pt, dom) == pt_label)
             assert direct == total
 

@@ -9,6 +9,7 @@ from exactml.predicates import (
     MAX_QUANTIFIER_COPIES,
     And,
     CmpConst,
+    Const,
     PredicateError,
     builtin_graph_property,
     graph_domain,
@@ -144,6 +145,19 @@ class TestParser:
         dom = graph_domain(2)
         pred = parse_predicate("forall i in [0,2): e[i][i] = 1", dom)
         assert pred == And((CmpConst("=", 0, 1), CmpConst("=", 3, 1)))
+
+    @pytest.mark.parametrize("op, flipped", [
+        ("<=", ">="), ("<", ">"), (">=", "<="), (">", "<"), ("=", "="), ("!=", "!="),
+    ])
+    def test_constant_on_the_left_flips_the_comparison(self, op, flipped):
+        dom = make_domain([(0, 7)], prefix="x")
+        pred = parse_predicate(f"3 {op} x0", dom)
+        assert pred == parse_predicate(f"x0 {flipped} 3", dom) == CmpConst(flipped, 0, 3)
+
+    @pytest.mark.parametrize("kind, value", [("forall", True), ("exists", False)])
+    def test_empty_range_is_the_identity_of_its_quantifier(self, kind, value):
+        dom = graph_domain(2)
+        assert parse_predicate(f"{kind} i in [0,0): e[i][i] = 1", dom) == Const(value)
 
     def test_unknown_feature(self):
         dom = make_domain([(0, 1)] * 4)
