@@ -3,7 +3,9 @@
 Inputs are the offset-binary bits of each feature (value - lo, low bit
 first). Gates are created through hash-consing builder methods that fold
 constants, so compiled circuits stay small without a separate optimization
-pass. Bit patterns above a feature's range are ruled out by a domain
+pass. Every comparison of a feature with a constant (a tree's threshold, a
+predicate's comparison, an end of a region) goes through `feature_le` or
+`feature_eq`, which fold it against the feature's range. Bit patterns above a feature's range are ruled out by a domain
 constraint wire that every count conjoins onto its root: the CNF stage
 (`cnf.tseitin`) as a unit clause, the truth-table and BDD managers
 (`bdd.count_roots`) with an AND.
@@ -215,11 +217,7 @@ class Circuit:
     # -- comparators ---------------------------------------------------------
 
     def unsigned_le_const(self, bits: Sequence[int], k: int) -> int:
-        """bits (unsigned, LSB first) <= k."""
-        if k < 0:
-            return self.const(False)
-        if k >= (1 << len(bits)) - 1:
-            return self.const(True)
+        """bits (unsigned, LSB first) <= k, for 0 <= k < 2**len(bits) - 1."""
         acc = self.const(True)
         for i, b in enumerate(bits):
             if (k >> i) & 1:
@@ -228,14 +226,24 @@ class Circuit:
                 acc = self.and_(self.not_(b), acc)
         return acc
 
-    def unsigned_ge_const(self, bits: Sequence[int], k: int) -> int:
-        return self.not_(self.unsigned_le_const(bits, k - 1))
-
-    def unsigned_eq_const(self, bits: Sequence[int], k: int) -> int:
-        if k < 0 or k >= (1 << len(bits)):
+    def feature_le(self, feature: int, v: int) -> int:
+        """value(feature) <= v, folded against the feature's range [lo, hi]."""
+        f = self.domain.features[feature]
+        k = v - f.lo
+        if k < 0:
             return self.const(False)
+        if k >= f.hi - f.lo:
+            return self.const(True)
+        return self.unsigned_le_const(self.feature_bits(feature), k)
+
+    def feature_eq(self, feature: int, v: int) -> int:
+        """value(feature) == v, folded against the feature's range [lo, hi]."""
+        f = self.domain.features[feature]
+        if not f.lo <= v <= f.hi:
+            return self.const(False)
+        k = v - f.lo
         acc = self.const(True)
-        for i, b in enumerate(bits):
+        for i, b in enumerate(self.feature_bits(feature)):
             acc = self.and_(acc, b if (k >> i) & 1 else self.not_(b))
         return acc
 
@@ -279,11 +287,15 @@ class Circuit:
         bits = [self.const((v >> i) & 1) for i in range(w)]
         return self._register(bits, v, v)
 
+    def encoded_bundle(self, feature: int) -> Bundle:
+        """The feature's offset-binary bits (value - lo) as a bundle over [0, hi - lo]."""
+        f = self.domain.features[feature]
+        return self._register(self.feature_bits(feature) + (self.const(False),), 0, f.hi - f.lo)
+
     def feature_bundle(self, feature: int) -> Bundle:
         """The feature's actual value: offset-binary bits plus the lo offset."""
         f = self.domain.features[feature]
-        span = f.hi - f.lo
-        enc = self._register(self.feature_bits(feature) + (self.const(False),), 0, span)
+        enc = self.encoded_bundle(feature)
         if f.lo == 0:
             return enc
         return self.add(enc, self.const_bundle(f.lo))
@@ -396,17 +408,6 @@ class Circuit:
 # Model compilation
 # ---------------------------------------------------------------------------
 
-def _compare_le_const(c: Circuit, feature: int, threshold: int) -> int:
-    """value(feature) <= threshold, folded against the feature's range."""
-    f = c.domain.features[feature]
-    k = threshold - f.lo
-    if k < 0:
-        return c.const(False)
-    if k >= f.hi - f.lo:
-        return c.const(True)
-    return c.unsigned_le_const(c.feature_bits(feature), k)
-
-
 def compile_tree(tree: DecisionTree, domain: InputDomain) -> Circuit:
     """One output wire model_<l> per label: OR over that label's leaf paths."""
     c = Circuit(domain)
@@ -418,7 +419,7 @@ def compile_tree(tree: DecisionTree, domain: InputDomain) -> Circuit:
         if isinstance(node, Leaf):
             by_label[node.label].append(guard)
         else:
-            cond = _compare_le_const(c, node.feature, node.threshold)
+            cond = c.feature_le(node.feature, node.threshold)
             stack.append((node.right, c.and_(guard, c.not_(cond))))
             stack.append((node.left, c.and_(guard, cond)))
     for label, guards in by_label.items():
@@ -429,13 +430,8 @@ def compile_tree(tree: DecisionTree, domain: InputDomain) -> Circuit:
 def network_logits(c: Circuit, net: QuantizedNetwork) -> list[Bundle]:
     """Bit-blast the affine layers over the circuit's domain; returns the logits."""
     # first layer reads offset-binary encodings; feature lo offsets fold into biases
-    enc_bundles = []
-    offsets = []
-    for i, f in enumerate(c.domain.features):
-        span = f.hi - f.lo
-        enc_bundles.append(c._register(c.feature_bits(i) + (c.const(False),), 0, span))
-        offsets.append(f.lo)
-    acts = enc_bundles
+    acts = [c.encoded_bundle(i) for i in range(len(c.domain.features))]
+    offsets = [f.lo for f in c.domain.features]
     for layer in net.layers:
         out = []
         for row, bias in zip(layer.weights, layer.biases):
@@ -593,20 +589,12 @@ def _predicate_wire(c: Circuit, pred: Predicate) -> int:
 
 
 def _compile_cmp_const(c: Circuit, op: str, feature: int, k: int) -> int:
-    f = c.domain.features[feature]
-    bits = c.feature_bits(feature)
-    enc_k = k - f.lo
-    span = f.hi - f.lo
-    if op == "<=":
-        return _compare_le_const(c, feature, k)
-    if op == "<":
-        return _compare_le_const(c, feature, k - 1)
-    if op == ">=":
-        return c.not_(_compare_le_const(c, feature, k - 1))
-    if op == ">":
-        return c.not_(_compare_le_const(c, feature, k))
-    eq = c.const(False) if not (0 <= enc_k <= span) else c.unsigned_eq_const(bits, enc_k)
-    return eq if op == "=" else c.not_(eq)
+    if op in ("=", "!="):
+        eq = c.feature_eq(feature, k)
+        return eq if op == "=" else c.not_(eq)
+    # x < k is x <= k - 1; > and >= negate <= and <
+    le = c.feature_le(feature, k - 1 if op in ("<", ">=") else k)
+    return le if op in ("<=", "<") else c.not_(le)
 
 
 def _compile_cmp_feature(c: Circuit, op: str, left: int, right: int) -> int:
@@ -648,11 +636,10 @@ def constrain_region(circuit: Circuit, root: int, region: InputDomain) -> int:
     """Conjoin onto `root` a comparator for each end where `region` narrows a feature."""
     acc = root
     for i, (r, f) in enumerate(zip(region.features, circuit.domain.features)):
-        bits = circuit.feature_bits(i)
         if r.lo > f.lo:
-            acc = circuit.and_(acc, circuit.unsigned_ge_const(bits, r.lo - f.lo))
+            acc = circuit.and_(acc, circuit.not_(circuit.feature_le(i, r.lo - 1)))
         if r.hi < f.hi:
-            acc = circuit.and_(acc, circuit.unsigned_le_const(bits, r.hi - f.lo))
+            acc = circuit.and_(acc, circuit.feature_le(i, r.hi))
     return acc
 
 
@@ -665,11 +652,9 @@ def partial_evaluate(circuit: Circuit, fixed: Mapping[int, int]) -> Circuit:
     dropped.
     """
     for f_idx, value in fixed.items():
-        spec = circuit.domain.features[f_idx]
-        if not (spec.lo <= value <= spec.hi):
-            raise ModelError(
-                f"value {value} out of range [{spec.lo}, {spec.hi}] for {spec.name}"
-            )
+        if not 0 <= f_idx < len(circuit.domain.features):
+            raise ModelError(f"feature index {f_idx} out of range for the circuit's domain")
+        circuit.domain.features[f_idx].check(value)
     new_features = tuple(
         FeatureSpec(f.name, fixed[i], fixed[i]) if i in fixed else f
         for i, f in enumerate(circuit.domain.features)

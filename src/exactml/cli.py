@@ -105,18 +105,14 @@ def _predicate_from_arg(arg: str, domain):
     raise CliError(f"no such predicate file or builtin property: {arg}")
 
 
-def _parse_post(arg: str, n_labels: int) -> frozenset:
-    """--post "1,2" allows those labels; "!2" allows every other label."""
+def _parse_post(arg: str) -> dict:
+    """--post "1,2" as a property document's allow list; "!2" as its deny list."""
     text = arg.strip()
-    deny = text.startswith("!")
+    key, text = ("deny", text[1:]) if text.startswith("!") else ("allow", text)
     try:
-        labels = {int(tok) for tok in (text[1:] if deny else text).split(",")}
+        return {key: sorted({int(tok) for tok in text.split(",")})}
     except ValueError as exc:
         raise CliError(f"bad --post value {arg!r}") from exc
-    for label in sorted(labels):
-        if not (0 <= label < n_labels):
-            raise CliError(f"post label {label} out of range")
-    return frozenset(range(n_labels)) - labels if deny else frozenset(labels)
 
 
 def _make_count_fn(backend: str, budget: int, dialect: str):
@@ -170,7 +166,10 @@ def cmd_learnability(args) -> int:
 
 def _safety_property(args, domain, n_labels):
     """--pre and --post, or (without --pre) the property document named by --property."""
-    if args.property and not args.pre:
+    if args.property and args.pre:
+        raise CliError(f"give {args.command} either --property (a property document) "
+                       "or --pre and --post")
+    if args.property:
         if args.post is not None:
             raise CliError("a --property document holds its own post labels; "
                            "give --pre with --post")
@@ -179,13 +178,11 @@ def _safety_property(args, domain, n_labels):
     if args.pre is None or args.post is None:
         raise CliError("need --pre and --post (or --property with a property file)")
     text = _predicate_file(args.pre)
-    pre = predicates.parse_predicate(args.pre if text is None else text, domain)
-    return predicates.SafetyProperty(pre, _parse_post(args.post, n_labels))
+    return predicates.load_safety_property(
+        {"pre": args.pre if text is None else text, **_parse_post(args.post)}, domain, n_labels)
 
 
 def cmd_safety(args) -> int:
-    if args.property and args.pre:
-        raise CliError("give safety either --property (a property document) or --pre and --post")
     domain, model = _load_inputs(args)
     prop = _safety_property(args, domain, model.num_labels)
     report = metrics_mod.safety(model, prop, domain, **_metric_options(args))
@@ -210,6 +207,12 @@ def cmd_robustness(args) -> int:
 
 _FORMULA_RE = re.compile(r"^(?:(model|truth|tp|fp|tn|fn):(\d+)|(pre|sat|viol|robustness))$")
 
+# the query options of emit, and those that each kind of --formula reads
+_QUERY_OPTIONS = ("property", "pre", "post", "center", "epsilon")
+_FORMULA_READS = {"model": (), "robustness": ("center", "epsilon"),
+                  **dict.fromkeys(("truth", "tp", "fp", "tn", "fn"), ("property",)),
+                  **dict.fromkeys(("pre", "sat", "viol"), ("pre", "post", "property"))}
+
 
 def _build_formula(args, domain, model):
     """Resolve --formula into a root of a full-domain circuit; see README for the syntax."""
@@ -217,6 +220,11 @@ def _build_formula(args, domain, model):
     if not match:
         raise CliError(f"bad --formula {args.formula!r}")
     what, label, name = match.groups()
+    # an --epsilon of 0, the default, counts as not given
+    unread = [f"--{opt}" for opt in _QUERY_OPTIONS
+              if getattr(args, opt) not in (None, 0) and opt not in _FORMULA_READS[what or name]]
+    if unread:
+        raise CliError(f"--formula {args.formula} does not read {', '.join(unread)}")
     n = model.num_labels
     if what is not None:
         name = f"{what}:{int(label)}"

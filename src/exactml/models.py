@@ -57,6 +57,11 @@ class FeatureSpec:
         # ceil(log2(range)); 0 when the feature is a single point
         return (self.range_size - 1).bit_length()
 
+    def check(self, value) -> None:
+        """ModelError unless `value` is an integer in [lo, hi]."""
+        if not (self.lo <= _require_int(value, f"value for {self.name}") <= self.hi):
+            raise ModelError(f"value {value} out of range [{self.lo}, {self.hi}] for {self.name}")
+
 
 @dataclass(frozen=True)
 class InputDomain:
@@ -90,8 +95,7 @@ class InputDomain:
                 f"input has {len(point)} values, domain has {len(self.features)} features"
             )
         for f, v in zip(self.features, point):
-            if not (f.lo <= _require_int(v, f"value for {f.name}") <= f.hi):
-                raise ModelError(f"value {v} out of range [{f.lo}, {f.hi}] for {f.name}")
+            f.check(v)
 
 
 def load_domain(doc) -> InputDomain:

@@ -15,7 +15,7 @@ from exactml.circuit import (
     partial_evaluate,
 )
 from exactml.metrics import binary_truth, learnability_roots
-from exactml.models import eval_model, load_network, load_tree
+from exactml.models import ModelError, eval_model, load_network, load_tree
 from exactml.oracle import enumerate_domain
 from exactml.predicates import (
     Const,
@@ -74,6 +74,25 @@ class TestCompileTree:
         )
         c = compile_tree(tree, dom)
         assert c.const_value(c.output("model_1")) is True
+
+
+class TestFeatureComparators:
+    """`feature_le` and `feature_eq` fold against the feature's range, not its bit width."""
+
+    @pytest.mark.parametrize("lo, hi", [(-3, 7), (2, 2), (0, 7)], ids=["offset", "point", "full"])
+    def test_every_constant_around_the_range(self, lo, hi):
+        # [-3, 7] takes 4 bits, whose encodings 11..15 lie above the range
+        dom = make_domain([(lo, hi)])
+        c = Circuit(dom)
+        for v in range(lo - 2, hi + 3):
+            le, eq = c.feature_le(0, v), c.feature_eq(0, v)
+            if v < lo or v >= hi:
+                assert c.const_value(le) is (v >= hi)
+            if v < lo or v > hi:
+                assert c.const_value(eq) is False
+            for (x,) in enumerate_domain(dom):
+                values = c.simulate((x,))
+                assert (values[le], values[eq]) == (x <= v, x == v), (v, x)
 
 
 class TestCompileNetwork:
@@ -381,6 +400,20 @@ class TestPartialEvaluate:
         c = compile_tree(xor_tree, bits2_domain)
         with pytest.raises(Exception, match="out of range"):
             partial_evaluate(c, {0: 3})
+
+    # a pin is checked as a point's value is: 0.5 and True lie in [0, 1] and are no pins
+    @pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+    def test_value_that_is_not_an_integer(self, bits2_domain, xor_tree, value):
+        c = compile_tree(xor_tree, bits2_domain)
+        with pytest.raises(ModelError, match=f"value for f0 must be an integer, got {value}"):
+            partial_evaluate(c, {0: value})
+
+    # -1 would name the last feature to the check but pin no feature
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_feature_index_out_of_range(self, bits2_domain, xor_tree, index):
+        c = compile_tree(xor_tree, bits2_domain)
+        with pytest.raises(ModelError, match=f"feature index {index} out of range"):
+            partial_evaluate(c, {index: 0})
 
     def test_gate_count_shrinks(self):
         rng = random.Random(14)

@@ -224,6 +224,43 @@ class TestUsageErrors:
         assert err.startswith("usage: exactml") and needle in err
 
 
+class TestInputErrors:
+    """An input that no command can use is one `error:` line with exit 1."""
+
+    @pytest.mark.parametrize("which", ["--domain", "--model"])
+    def test_a_file_that_is_not_json(self, workdir, capsys, which):
+        bad = workdir / "bad.json"
+        bad.write_text("{not json")
+        files = {"--domain": workdir / "bits2.json", "--model": workdir / "xor_tree.json",
+                 which: bad}
+        code = run(["safety", *(opt for pair in files.items() for opt in pair),
+                    "--pre", "true", "--post", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: Expecting property name")
+
+    @pytest.mark.parametrize("command, args, message", [
+        (["robustness"], ["--center", "0,0"], "need --domain (or --nodes for a graph domain)"),
+        (["learnability", "--domain", "bits2.json"], [],
+         "need --property (builtin name or predicate file)"),
+        (["learnability", "--domain", "bits2.json"], ["--property", "no-such-property"],
+         "no such predicate file or builtin property: no-such-property"),
+        (["safety", "--domain", "bits2.json"], ["--pre", "true"],
+         "need --pre and --post (or --property with a property file)"),
+    ], ids=["no-domain", "no-property", "unknown-property", "pre-without-post"])
+    def test_missing_or_unknown_input(self, workdir, capsys, monkeypatch, command, args, message):
+        monkeypatch.chdir(workdir)
+        assert run([*command, "--model", "xor_tree.json", *args]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_report_on_standard_output_is_the_out_file(self, workdir, capsys):
+        args = ["learnability", "--domain", "graph3", "--model", workdir / "reflexive_tree.json",
+                "--property", "reflexive"]
+        out = workdir / "report.json"
+        assert run([*args, "--out", out]) == 0
+        assert run(args) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 INPUTS = {"--domain", "--model", "--nodes", "--out"}
 COUNTING = {"--backend", "--dialect", "--budget", "--seed", "--samples"}
 PRE_POST, BALL = {"--pre", "--post"}, {"--center", "--epsilon"}
@@ -542,6 +579,51 @@ class TestEmit:
         assert code == 1
         assert "bad --formula" in capsys.readouterr().err
 
+    @staticmethod
+    def _xor_inputs(workdir):
+        return ["--domain", workdir / "bits2.json", "--model", workdir / "xor_tree.json"]
+
+    # each query option, and the formulas that read it
+    QUERY = {"--property": ("--property", "truth.pred"), "--pre": ("--pre", "bogus(("),
+             "--post": ("--post", "7"), "--center": ("--center", "9,9"),
+             "--epsilon": ("--epsilon", "2")}
+    READ_BY = {"--property": {"truth:1", "tp:1", "fn:0", "pre", "sat", "viol"},
+               "--pre": {"pre", "sat", "viol"}, "--post": {"pre", "sat", "viol"},
+               "--center": {"robustness"}, "--epsilon": {"robustness"}}
+    UNREAD = [(formula, option) for option, formulas in READ_BY.items()
+              for formula in sorted({"model:1", "truth:1", "tp:1", "fn:0", "pre", "sat", "viol",
+                                     "robustness"} - formulas)]
+
+    @pytest.mark.parametrize("formula, option", UNREAD)
+    def test_an_option_that_the_formula_does_not_read(self, workdir, capsys, formula, option):
+        # refused before Pre is parsed, so a malformed Pre shows nothing else ran
+        code = run(["emit", *self._xor_inputs(workdir),
+                    "--formula", formula, *self.QUERY[option]])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --formula {formula} does not read {option}\n"
+
+    def test_every_unread_option_is_named(self, workdir, capsys):
+        code = run(["emit", "--domain", "graph3", "--model", workdir / "reflexive_tree.json",
+                    "--property", "transitive", "--formula", "tp:1",
+                    "--pre", "bogus((", "--post", "7", "--center", "9,9"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --formula tp:1 does not read --pre, --post, --center\n")
+
+    def test_an_epsilon_of_zero_is_not_given(self, workdir):
+        code = run(["emit", *self._xor_inputs(workdir),
+                    "--formula", "model:1", "--epsilon", "0", "--out", workdir / "f.cnf"])
+        assert code == 0
+
+    def test_a_property_document_with_pre(self, workdir, capsys):
+        prop = workdir / "prop.json"
+        prop.write_text(json.dumps({"format_version": 1, "pre": "f0 <= 0", "allow": [1]}))
+        code = run(["emit", *self._xor_inputs(workdir),
+                    "--formula", "viol", "--property", prop, "--pre", "true", "--post", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: give emit either --property (a property document) or --pre and --post\n")
+
 
 class TestEmitCountsLikeMetrics:
     """Every --formula root, parsed back and counted, equals its report's count."""
@@ -569,6 +651,8 @@ class TestEmitCountsLikeMetrics:
         prop = ["--property", tmp_path / "truth.pred"]
         pre_post = ["--pre", self.PRE, "--post", "1"]
         ball = ["--center", self.CENTER, "--epsilon", self.EPSILON]
+        # the query options that each formula reads
+        reads = {"pre": pre_post, "sat": pre_post, "viol": pre_post, "robustness": ball}
 
         def report(command, *args):
             out = tmp_path / f"{command}.json"
@@ -588,8 +672,8 @@ class TestEmitCountsLikeMetrics:
 
         for formula, count in want.items():
             out = tmp_path / "f.cnf"
-            assert run(["emit", *inputs, *prop, *pre_post, *ball, "--formula", formula,
-                        "--out", out]) == 0
+            query = reads.get(formula, [] if formula.startswith("model") else prop)
+            assert run(["emit", *inputs, *query, "--formula", formula, "--out", out]) == 0
             assert count_projected(parse_dimacs(out.read_text())).count == count, formula
 
 
@@ -904,7 +988,7 @@ class TestGoldenDimacs:
     """The exact bytes `emit` writes, pinned by sha256 so an encoder rewrite
     cannot change a variable number, a clause or its order unnoticed."""
 
-    PRE = "f0 >= 2 && f1 <= 5"
+    PRE_POST = ("--pre", "f0 >= 2 && f1 <= 5", "--post", "1")
     GOLDEN = {
         "net-model:1-ind_comment":
             "ac666427310d629e32e59ef7070f5520b9b6b2d980d0e9dc918ccc52a03428d8",
@@ -919,13 +1003,16 @@ class TestGoldenDimacs:
     }
 
     @staticmethod
-    def _net_args(tmp_path):
+    def _net_args(tmp_path, formula):
+        """The inputs of a 3-feature net and the query options that `formula` reads."""
         domain = make_domain([(0, 7)] * 3)
         net = random_network(random.Random(3), domain, hidden=(2,), weight_range=3)
         (tmp_path / "domain.json").write_text(json.dumps(domain_to_document(domain)))
         (tmp_path / "net.json").write_text(json.dumps(network_to_document(net)))
+        query = {"viol": TestGoldenDimacs.PRE_POST,
+                 "robustness": ("--center", "3,4,5", "--epsilon", "1")}
         return ["--domain", tmp_path / "domain.json", "--model", tmp_path / "net.json",
-                "--pre", TestGoldenDimacs.PRE, "--post", "1"]
+                *query.get(formula, ())]
 
     def _emit_digest(self, tmp_path, args, formula, dialect):
         out = tmp_path / "f.cnf"
@@ -936,12 +1023,12 @@ class TestGoldenDimacs:
         ("model:1", "ind_comment"), ("viol", "ind_comment"), ("viol", "pshow_comment"),
     ])
     def test_quantized_net(self, tmp_path, formula, dialect):
-        digest = self._emit_digest(tmp_path, self._net_args(tmp_path), formula, dialect)
+        digest = self._emit_digest(tmp_path, self._net_args(tmp_path, formula), formula, dialect)
         assert digest == self.GOLDEN[f"net-{formula}-{dialect}"]
 
     def test_robustness_ball(self, tmp_path):
         # the ball around (3, 4, 5) narrows every feature of the domain
-        args = [*self._net_args(tmp_path), "--center", "3,4,5", "--epsilon", "1"]
+        args = self._net_args(tmp_path, "robustness")
         digest = self._emit_digest(tmp_path, args, "robustness", "ind_comment")
         assert digest == self.GOLDEN["net-robustness-ind_comment"]
 
@@ -952,7 +1039,7 @@ class TestGoldenDimacs:
         tseitin = exactml.cnf.tseitin
         monkeypatch.setattr(exactml.cnf, "tseitin",
                             lambda *a: formulas.append(tseitin(*a)) or formulas[-1])
-        self._emit_digest(tmp_path, self._net_args(tmp_path), "viol", "ind_comment")
+        self._emit_digest(tmp_path, self._net_args(tmp_path, "viol"), "viol", "ind_comment")
         (f,) = formulas
         assert len({id(lit) for clause in f.clauses for lit in clause}) <= 2 * f.num_vars
 
@@ -971,7 +1058,8 @@ class TestGoldenDimacs:
 
         monkeypatch.setattr(exactml.cnf, "tseitin", keep_ref)
         monkeypatch.setattr(exactml.cnf, "emit_dimacs", check_freed)
-        digest = self._emit_digest(tmp_path, self._net_args(tmp_path), formula, "ind_comment")
+        args = self._net_args(tmp_path, formula)
+        digest = self._emit_digest(tmp_path, args, formula, "ind_comment")
         assert digest == self.GOLDEN[f"net-{formula}-ind_comment"]
         assert freed == [True]
 
@@ -982,7 +1070,7 @@ class TestGoldenDimacs:
         encoded = []
         tseitin = exactml.cnf.tseitin
         monkeypatch.setattr(exactml.cnf, "tseitin", lambda *a: encoded.append(a) or tseitin(*a))
-        self._emit_digest(tmp_path, self._net_args(tmp_path), formula, "ind_comment")
+        self._emit_digest(tmp_path, self._net_args(tmp_path, formula), formula, "ind_comment")
         ((circuit, root),) = encoded
 
         def peak(write):

@@ -160,6 +160,27 @@ class TestDimacs:
         with pytest.raises(DimacsError, match="line 3: second 'p cnf' header"):
             parse_dimacs("p cnf 3 1\n1 0\np cnf 5 2\n-5 2 0\n")
 
+    @pytest.mark.parametrize("text, needle", [
+        ("p cnf 2 1\nc ind 1 x 0\n1 0\n", "line 2: bad projection token 'x'"),
+        ("p cnf 2\n1 0\n", "line 1: malformed header 'p cnf 2'"),
+        ("p cnf two 1\n1 0\n", "line 1: malformed header 'p cnf two 1'"),
+        ("1 0\np cnf 2 1\n", "line 1: clause before header"),
+        ("p cnf 2 1\n1 y 0\n", "line 2: bad literal 'y'"),
+        ("p cnf 2 1\n0\n", "line 2: empty clause"),
+        ("c only a comment\n", "missing 'p cnf' header"),
+    ], ids=["bad-ind-token", "malformed-header", "non-integer-header", "clause-before-header",
+            "bad-literal", "lone-zero", "no-header"])
+    def test_malformed_text(self, text, needle):
+        with pytest.raises(DimacsError, match=needle):
+            parse_dimacs(text)
+
+    @pytest.mark.parametrize("clauses, needle", [
+        (((1,), ()), "empty clause"), (((1, -3),), "literal -3 out of range"),
+    ], ids=["empty-clause", "literal-out-of-range"])
+    def test_check_rejects(self, clauses, needle):
+        with pytest.raises(DimacsError, match=needle):
+            CnfFormula(2, clauses, frozenset({1})).check()
+
     def test_multiline_clause(self):
         f = parse_dimacs("p cnf 3 1\n1 2\n3 0\n")
         assert f.clauses == ((1, 2, 3),)

@@ -168,6 +168,12 @@ class TestCountProjected:
         # models over (1,2): (T,T) ok via any 3; (T,F) needs -3, ok; (F,T) needs 3, ok; (F,F) unsat
         assert count_projected(f).count == 3
 
+    def test_probe_stalls_below_the_projection_on_a_foreign_formula(self):
+        # with 1 and 2 true no clause forces the aux var 3, unlike a Tseitin formula
+        f = parse_dimacs("p cnf 3 2\nc ind 1 2 0\n1 3 0\n2 -3 0\n")
+        assignments = [{1: True, 2: True}, {1: False, 2: False}, {1: True, 2: False}]
+        assert probe_functional_extension(f, assignments) == ["incomplete", "conflict", "complete"]
+
     # counts and search stats of `foreign_formulas` at budgets that run out
     # on the projection, below it and not at all: a change to branch order,
     # phases, propagation or decision accounting changes this digest
@@ -256,6 +262,10 @@ class TestParseExternal:
     def test_garbage(self):
         with pytest.raises(ValueError, match="unrecognized"):
             parse_external_count("hello world\n")
+
+    def test_unknown_tool_kind(self):
+        with pytest.raises(ValueError, match="unknown tool kind 'bogus'"):
+            parse_external_count("s mc 4\n", tool="bogus")
 
     def test_approximate_multiplicative_form(self):
         result = parse_external_count(

@@ -21,7 +21,7 @@ from exactml.metrics import (
     safety_to_document,
     statistical_baseline,
 )
-from exactml.models import load_network, load_tree
+from exactml.models import ModelError, load_network, load_tree
 from exactml.oracle import brute_learnability, brute_robustness
 from exactml.predicates import (
     SafetyProperty,
@@ -107,6 +107,11 @@ class TestLearnability:
             label_sum += m.tp + m.fp
         assert label_sum == report.domain_size
 
+    def test_truth_labels_must_be_the_models(self, bits2_domain, xor_tree):
+        truth = {1: parse_predicate("f0 = 1", bits2_domain)}
+        with pytest.raises(ModelError, match=r"need one truth predicate per label \[0, 1\], got \[1\]"):
+            learnability(xor_tree, truth, bits2_domain)
+
     def test_budget_exhaustion_reports_gaps(self, graph4, reflexive4):
         tree = load_tree(reflexive_tree_doc(4), graph4)
         report = learnability(
@@ -144,6 +149,11 @@ class TestSafety:
         assert report.sat_count == bits2_domain.size()
         assert report.viol_count == 0
         assert report.accuracy == 1
+
+    def test_allowed_label_out_of_range(self, bits2_domain, xor_tree):
+        prop = SafetyProperty(parse_predicate("true", bits2_domain), frozenset({0, 2}))
+        with pytest.raises(ModelError, match="allowed label 2 out of range"):
+            safety(xor_tree, prop, bits2_domain)
 
     def test_constant_wrong_label_never_satisfies(self, bits2_domain):
         tree = load_tree(constant_tree_doc(0), bits2_domain)

@@ -51,6 +51,10 @@ class TestDomain:
         with pytest.raises(ModelError):
             load_domain("not json {")
 
+    def test_feature_without_a_name(self):
+        with pytest.raises(ModelError, match="feature without a name"):
+            load_domain({"features": [{"lo": 0, "hi": 1}]})
+
     def test_deeply_nested_text_is_a_model_error(self, bits2_domain):
         with pytest.raises(ModelError, match="nested too deeply"):
             load_domain("[" * 100_000)
@@ -116,6 +120,23 @@ class TestTree:
     def test_label_out_of_range(self, bits2_domain):
         with pytest.raises(ModelError, match="num_labels"):
             load_tree(constant_tree_doc(2, num_labels=2), bits2_domain)
+
+    # node 0 tests f0 <= 0; each document breaks one rule of the tree's shape
+    @pytest.mark.parametrize("doc, needle", [
+        ({"num_labels": 0, "nodes": [{"leaf": 0}]}, "num_labels must be >= 1"),
+        ({"num_labels": 2, "root": 3, "nodes": [{"leaf": 0}]}, "root index 3 out of range"),
+        ({"num_labels": 2, "nodes": [[0]]}, "node 0: must be an object"),
+        ({"num_labels": 2, "nodes": [{"feature": 0, "threshold": 0, "left": 1, "right": 7},
+                                     {"leaf": 0}]}, "node 0: child index 7 out of range"),
+        ({"num_labels": 2, "nodes": [{"feature": 0, "threshold": 0, "left": 1, "right": 2},
+                                     {"feature": 1, "threshold": 0, "left": 0, "right": 3},
+                                     {"leaf": 0}, {"leaf": 1}]}, "cycle through node 0"),
+        ({"num_labels": 2, "nodes": [{"leaf": 0}, {"leaf": 1}]}, "node 1 unreachable from root"),
+    ], ids=["no-labels", "root-out-of-range", "node-not-an-object", "child-out-of-range",
+            "two-node-cycle", "unreachable-node"])
+    def test_malformed_tree(self, bits2_domain, doc, needle):
+        with pytest.raises(ModelError, match=needle):
+            load_tree(doc, bits2_domain)
 
     def test_xor_tree_all_inputs(self, bits2_domain, xor_tree):
         # hand oracle: label = f0 xor f1
@@ -201,6 +222,21 @@ class TestNetwork:
                "layers": [{"weights": [[0.5]], "biases": [0], "activation": "none", "post_shift": 0}]}
         with pytest.raises(ModelError, match="integer"):
             load_network(doc, dom)
+
+    # one layer over the two features of `bits2_domain`, with one key replaced
+    @pytest.mark.parametrize("change, needle", [
+        ({"input_width": 3}, "network expects 3 inputs, domain has 2 features"),
+        ({"layers": [{"biases": [0, 0]}]}, "layer 0: missing weights or biases"),
+        ({"layers": [{"weights": [[1, 0], [0, 1]], "biases": [0, 0], "activation": "tanh"}]},
+         "layer 0: unknown activation 'tanh'"),
+        ({"layers": [{"weights": [[1, 0], [0, 1]], "biases": [0, 0], "activation": "relu"}]},
+         "final layer must have activation 'none'"),
+    ], ids=["input-width", "no-weights", "unknown-activation", "relu-last-layer"])
+    def test_malformed_network(self, bits2_domain, change, needle):
+        doc = {"input_width": 2,
+               "layers": [{"weights": [[1, 0], [0, 1]], "biases": [0, 0], "activation": "none"}]}
+        with pytest.raises(ModelError, match=needle):
+            load_network({**doc, **change}, bits2_domain)
 
     def test_two_layer_schema_example(self):
         dom = make_domain([(0, 1)] * 16)

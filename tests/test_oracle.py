@@ -3,7 +3,7 @@ import random
 import pytest
 
 from exactml.circuit import Circuit, compile_predicate
-from exactml.models import eval_model, load_tree
+from exactml.models import ModelError, eval_model, load_tree
 from exactml.oracle import (
     OracleCapError,
     brute_count_predicate,
@@ -46,6 +46,12 @@ class TestBruteLearnability:
         for pt_label, total in totals.items():
             direct = sum(1 for pt in enumerate_domain(dom) if eval_model(tree, pt, dom) == pt_label)
             assert direct == total
+
+    def test_truth_labels_must_be_the_models(self):
+        dom = make_domain([(0, 3)])
+        tree = load_tree(constant_tree_doc(0), dom)
+        with pytest.raises(ModelError, match="need one truth predicate per label"):
+            brute_learnability(tree, truth_family(random.Random(6), dom, 3), dom)
 
     def test_fingerprint_deterministic(self):
         dom = make_domain([(0, 3), (0, 1)])

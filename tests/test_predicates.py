@@ -16,6 +16,7 @@ from exactml.predicates import (
     load_safety_property,
     parse_predicate,
     region,
+    validate_predicate,
 )
 
 from conftest import eval_predicate, in_region, make_domain
@@ -107,6 +108,8 @@ class TestGraphProperties:
     def test_bad_node_count(self):
         with pytest.raises(ModelError):
             builtin_graph_property("reflexive", 0)
+        with pytest.raises(ModelError, match="n_nodes must be >= 1"):
+            graph_domain(0)
 
     def test_graph_domain_limit(self):
         assert len(graph_domain(316).features) == 316 * 316 <= MAX_QUANTIFIER_COPIES
@@ -173,6 +176,18 @@ class TestParser:
         dom = graph_domain(2)
         with pytest.raises(PredicateError, match="constant"):
             parse_predicate("forall i in [0,n): e[i][i] = 1", dom)
+
+    @pytest.mark.parametrize("text, needle", [
+        ("forall i [0,2): e[i][i] = 1", "expected 'in', got '\\['"),
+        ("forall i in [e[0][0],2): e[i][i] = 1", "position 13: quantifier bound must be a constant"),
+    ], ids=["missing-in", "non-integer-lower-bound"])
+    def test_malformed_quantifier(self, text, needle):
+        with pytest.raises(PredicateError, match=needle):
+            parse_predicate(text, graph_domain(2))
+
+    def test_feature_index_past_the_domain(self):
+        with pytest.raises(PredicateError, match="feature index 2 out of range for a 2-feature domain"):
+            validate_predicate(CmpConst("<=", 2, 0), make_domain([(0, 1)] * 2))
 
     def test_exists_and_implies(self):
         dom = graph_domain(2)
