@@ -30,7 +30,11 @@ BDD details:
   comparisons and sums sit near the top.
 - Nodes live in flat lists; node 0 is false, node 1 is true, and both sit at
   level `num_vars`, below every variable. The unique table is keyed by the
-  packed integer (level, low, high).
+  packed integer (level, low, high) and the apply cache by (f, g), each node
+  id at `id_bits = (budget + 2).bit_length()` bits: a slot is appended only
+  when a node is created, so every id is below budget + 2. Narrow keys hash
+  and compare faster; under a 12,000-node budget a cache key fits one
+  30-bit CPython digit and a unique key two.
 - `apply` is Bryant's apply as one flat loop over a stack of plain ints:
   each frame is an operand pair or a finish (the pair's top level and cache
   key). Each op's terminal cases come from a small table (`_TERMINAL`), the
@@ -79,8 +83,6 @@ TABLE_MAX_BITS = 20
 # Nodes created between two collections: at least this many, and at least
 # as many as the previous collection kept, so collecting costs O(1) a node.
 GC_MIN_NODES = 1 << 13
-
-_SHIFT = 32  # node ids fit in 32 bits long before memory runs out
 
 AND, OR, XOR = 0, 1, 2
 _OPS = {"and": AND, "or": OR, "xor": XOR}
@@ -262,12 +264,15 @@ class BddManager(_WireCompiler):
         self.high = [0, 1]
         self.free: list[int] = []  # slots of freed nodes, reused first
         self.unique: dict[int, int] = {}
+        # the width of a node id in a packed key: every id is below budget + 2
+        self.id_bits = (budget + 2).bit_length()
         self._next_collect = GC_MIN_NODES
 
     def _mk(self, lvl: int, lo: int, hi: int) -> int:
         if lo == hi:
             return lo
-        key = (((lvl << _SHIFT) | lo) << _SHIFT) | hi
+        bits = self.id_bits
+        key = (((lvl << bits) | lo) << bits) | hi
         node = self.unique.get(key)
         if node is None:
             if self.size >= self.budget:
@@ -305,23 +310,27 @@ class BddManager(_WireCompiler):
         """The node of `f op g`; op is AND, OR or XOR."""
         level, low, high = self.level, self.low, self.high
         unique, free, budget, size = self.unique, self.free, self.budget, self.size
+        unique_get, bits = unique.get, self.id_bits
         on_false, on_true, on_equal = _TERMINAL[op]
         memo: dict[int, int] = {}  # the apply cache, one gate long
+        memo_get = memo.get
         results: list[int] = []
+        push = results.append
         # frames, top last: a pair is `g, f`; a finish is `top level, ~cache key`
         stack = [g, f]
+        pop, extend = stack.pop, stack.extend
         try:
             while stack:
-                f = stack.pop()
+                f = pop()
                 if f < 0:
                     # finish: make the node of the pair's two cofactors, as `_mk` does
                     key = ~f
-                    top = stack.pop()
+                    top = pop()
                     hi = results.pop()
                     lo = node = results[-1]
                     if lo != hi:
-                        ukey = (((top << _SHIFT) | lo) << _SHIFT) | hi
-                        node = unique.get(ukey)
+                        ukey = (((top << bits) | lo) << bits) | hi
+                        node = unique_get(ukey)
                         if node is None:
                             if size >= budget:
                                 raise NodeBudgetExceeded()
@@ -337,7 +346,7 @@ class BddManager(_WireCompiler):
                             unique[ukey] = node
                     memo[key] = results[-1] = node
                     continue
-                g = stack.pop()
+                g = pop()
                 # descend: the low cofactors' pair would be the next frame popped
                 while True:
                     if f > g:
@@ -345,23 +354,23 @@ class BddManager(_WireCompiler):
                     if f == g or f <= 1:
                         r = on_equal if f == g else on_true if f else on_false
                         if r is not None:
-                            results.append(g if r == _OTHER else r)
+                            push(g if r == _OTHER else r)
                             break
-                    key = (f << _SHIFT) | g
-                    node = memo.get(key)
+                    key = (f << bits) | g
+                    node = memo_get(key)
                     if node is not None:
-                        results.append(node)
+                        push(node)
                         break
                     lf, lg = level[f], level[g]
                     # the finish, then the high cofactors' pair
                     if lf == lg:
-                        stack.extend((lf, ~key, high[g], high[f]))
+                        extend((lf, ~key, high[g], high[f]))
                         f, g = low[f], low[g]
                     elif lf < lg:
-                        stack.extend((lf, ~key, g, high[f]))
+                        extend((lf, ~key, g, high[f]))
                         f = low[f]
                     else:
-                        stack.extend((lg, ~key, high[g], f))
+                        extend((lg, ~key, high[g], f))
                         g = low[g]
         finally:
             self.size = size

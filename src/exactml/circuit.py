@@ -633,9 +633,21 @@ def _compile_pred(c: Circuit, pred: Predicate) -> int:
 # ---------------------------------------------------------------------------
 
 def constrain_region(circuit: Circuit, root: int, region: InputDomain) -> int:
-    """Conjoin onto `root` a comparator for each end where `region` narrows a feature."""
+    """Conjoin onto `root` a comparator for each end where `region` narrows a feature.
+
+    ModelError unless `region` is a sub-domain of the circuit's domain: as
+    many features, each range inside the circuit's.
+    """
+    features = circuit.domain.features
+    if len(region.features) != len(features):
+        raise ModelError(
+            f"region has {len(region.features)} features, the circuit's domain has {len(features)}"
+        )
+    for r, f in zip(region.features, features):
+        f.check(r.lo)
+        f.check(r.hi)
     acc = root
-    for i, (r, f) in enumerate(zip(region.features, circuit.domain.features)):
+    for i, (r, f) in enumerate(zip(region.features, features)):
         if r.lo > f.lo:
             acc = circuit.and_(acc, circuit.not_(circuit.feature_le(i, r.lo - 1)))
         if r.hi < f.hi:

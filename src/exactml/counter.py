@@ -25,9 +25,6 @@ once, with no blocking clauses.
 from __future__ import annotations
 
 import re
-import shlex
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -471,6 +468,10 @@ def count_external(cnf: CnfFormula, template: str, tool: str, dialect: str) -> C
     replaces `{file}` in the template. A command that exits nonzero raises
     ValueError with its stderr; its stdout is read by `parse_external_count`.
     """
+    import shlex  # imported here: only this function runs a process
+    import subprocess
+    import tempfile
+
     with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as handle:
         handle.write(emit_dimacs(cnf, dialect))
         path = handle.name

@@ -9,7 +9,6 @@ the tests want.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
@@ -48,6 +47,8 @@ def brute_learnability(
     cap: int = ENUMERATION_CAP,
 ) -> OracleReport:
     """Exhaustively tally TP/FP/TN/FN per label against the ground truth."""
+    import hashlib  # imported here: no other function of the package hashes
+
     _check_cap(domain.size(), cap)
     labels = sorted(truth_predicates)
     if labels != list(range(model.num_labels)):

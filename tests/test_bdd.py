@@ -271,16 +271,100 @@ def test_the_manager_makes_the_same_nodes_in_the_same_order(budget, digest, size
         assert sum(cells) == dom.size()
 
 
+def _chain(n):
+    """Circuit and roots `every`, `not every` of the AND of n one-bit features."""
+    dom = make_domain([(0, 1)] * n)
+    circ = Circuit(dom)
+    every = circ.const(True)
+    for i in reversed(range(n)):
+        every = circ.and_(circ.input_bit(i, 0), every)
+    return circ, [every, circ.not_(every)]
+
+
+def _graph4_cells(seed):
+    """Circuit and distinct non-constant learnability cells of a seeded tree against `transitive`."""
+    dom = graph_domain(4)
+    circ = compile_model(random_tree(random.Random(seed), dom, max_depth=6), dom)
+    roots = learnability_roots(circ, binary_truth(builtin_graph_property("transitive", 4)))
+    return circ, list(dict.fromkeys(w for w in roots.values() if circ.const_value(w) is None))
+
+
+def _bdd_counts(circ, wires, budget):
+    manager = BddManager(circ, budget, keep=(*wires, circ.domain_wire))
+    return manager, [CircuitRoot(manager, w).count() for w in wires]
+
+
+@pytest.mark.parametrize(
+    "circuit, gc_min_nodes",
+    [(lambda: _chain(3000), None), (lambda: _graph4_cells(7), None), (lambda: _graph4_cells(7), 64)],
+    ids=["chain", "graph4", "graph4-collected"],
+)
+def test_a_budget_of_exactly_the_nodes_made_counts(circuit, gc_min_nodes, monkeypatch):
+    """Node ids reach budget + 1, the largest id a packed key must hold.
+
+    Unless a collection frees slots that later nodes reuse, every node
+    created has a slot of its own, so under a budget equal to the nodes an
+    unbounded run makes, the last node made has id budget + 1. One unit
+    less stops at the root that made it. The graph4 cells make 4,096
+    nodes, so the two budgets take ids to 4,097 and 4,096, past 2**12.
+    """
+    if gc_min_nodes:
+        monkeypatch.setattr(exactml.bdd, "GC_MIN_NODES", gc_min_nodes)
+    circ, wires = circuit()
+    full, results = _bdd_counts(circ, wires, exactml.bdd.DEFAULT_NODE_BUDGET)
+    counts = [r.count for r in results]
+    assert None not in counts and len(wires) > 1
+    last = [r.stats["nodes"] for r in results].index(full.size)  # the root that made the last node
+
+    exact, results = _bdd_counts(circ, wires, full.size)
+    assert [r.count for r in results] == counts and exact.size == full.size
+    if gc_min_nodes:
+        assert len(exact.level) < exact.budget + 2  # freed slots were reused
+    else:
+        assert len(exact.level) == exact.budget + 2  # the last node made has id budget + 1
+
+    short, results = _bdd_counts(circ, wires, full.size - 1)
+    assert [r.count for r in results[:last]] == counts[:last]
+    assert results[last].exhausted and short.size == full.size - 1
+
+    wide, results = _bdd_counts(circ, wires, 2**40)
+    assert [r.count for r in results] == counts and wide.size == full.size
+    for manager in (exact, short, wide):
+        assert len(manager.level) <= 1 << manager.id_bits  # every id fits its field
+
+
+@pytest.mark.parametrize("budget", [47_893, 47_892])
+def test_graph5_transitive_counts_past_the_oracle(budget):
+    """154,303 transitive relations on 5 nodes (OEIS A006905), a count over 2**25 points.
+
+    A constant-1 tree's learnability roots are `T` and `not T`: the manager
+    creates 40,309 nodes for the first and 7,584 more for the second, so a
+    budget one unit under 47,893 leaves label 1's `fp` a gap.
+    """
+    dom = graph_domain(5)
+    tree = load_tree(constant_tree_doc(1), dom)
+    truth = binary_truth(builtin_graph_property("transitive", 5))
+    seen = {}
+
+    def count_fn(circuit, roots):
+        seen.update(count_roots(circuit, roots, budget))
+        return seen
+
+    report = learnability(tree, truth, dom, count_fn=count_fn)
+    assert {name: (r.method, r.stats["nodes"]) for name, r in seen.items()} == {
+        "tn:0": ("bdd", 40_309), "fn:0": ("bdd", budget)
+    }
+    label = report.labels[1]
+    assert label.tp == 154_303
+    assert label.fp == (2**25 - 154_303 if budget == 47_893 else None)
+
+
 class TestDeepDomains:
     N = 3000
 
     def test_no_recursion_error_on_3000_binary_features(self):
-        dom = make_domain([(0, 1)] * self.N)
-        circ = Circuit(dom)
-        every = circ.const(True)
-        for i in reversed(range(self.N)):
-            every = circ.and_(circ.input_bit(i, 0), every)
-        results = count_roots(circ, {"every": every, "not_every": circ.not_(every)})
+        circ, (every, not_every) = _chain(self.N)
+        results = count_roots(circ, {"every": every, "not_every": not_every})
         assert results["every"].count == 1
         assert results["not_every"].count == 2**self.N - 1
 

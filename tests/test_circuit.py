@@ -4,6 +4,7 @@ import pytest
 
 import exactml.circuit
 import exactml.predicates
+from exactml.bdd import count_roots
 from exactml.circuit import (
     Circuit,
     WidthOverflowError,
@@ -14,6 +15,8 @@ from exactml.circuit import (
     constrain_region,
     partial_evaluate,
 )
+from exactml.cnf import tseitin
+from exactml.counter import count_projected
 from exactml.metrics import binary_truth, learnability_roots
 from exactml.models import ModelError, eval_model, load_network, load_tree
 from exactml.oracle import enumerate_domain
@@ -316,6 +319,35 @@ class TestConstrainRegion:
         inside = sum(c.simulate(pt)[root] for pt in enumerate_domain(reg))
         assert inside == 81
         assert c.simulate((12, 10, 10, 10))[root] is False
+
+    def test_a_ball_counts_its_points(self):
+        dom = make_domain([(0, 15), (-4, 3), (2, 9)])
+        c = compile_network(random_network(random.Random(4), dom, hidden=(3,)), dom)
+        reg = region((3, -1, 8), 2, dom)
+        root = constrain_region(c, c.output("model_1"), reg)
+        want = sum(c.simulate(pt)[c.output("model_1")] for pt in enumerate_domain(reg))
+        assert 0 < want < reg.size() == 5 * 5 * 4
+        assert count_roots(c, {"ball": root})["ball"].count == want
+        assert count_projected(tseitin(c, root)).count == want
+
+    def test_a_region_of_another_domain_is_refused(self):
+        dom = make_domain([(0, 3), (0, 3)])
+        c = Circuit(dom)
+        root = compile_predicate(c, parse_predicate("f1 <= 1", dom))
+        gates = len(c.gates)
+        ball = region((1,), 0, make_domain([(0, 3)]))
+        with pytest.raises(ModelError, match="region has 1 features, the circuit's domain has 2"):
+            constrain_region(c, root, ball)
+        assert len(c.gates) == gates
+
+    @pytest.mark.parametrize("lo, hi, bad", [(-1, 2, -1), (1, 4, 4)])
+    def test_a_region_past_the_domain_is_refused(self, lo, hi, bad):
+        dom = make_domain([(0, 3), (0, 3)])
+        c = Circuit(dom)
+        root = c.const(True)
+        with pytest.raises(ModelError, match=rf"value {bad} out of range \[0, 3\] for f1"):
+            constrain_region(c, root, make_domain([(1, 2), (lo, hi)]))
+        assert len(c.gates) == 1
 
 
 class TestCone:
