@@ -5,14 +5,17 @@ first). Gates are created through hash-consing builder methods that fold
 constants, so compiled circuits stay small without a separate optimization
 pass. Every comparison of a feature with a constant (a tree's threshold, a
 predicate's comparison, an end of a region) goes through `feature_le` or
-`feature_eq`, which fold it against the feature's range. Bit patterns above a feature's range are ruled out by a domain
-constraint wire that every count conjoins onto its root: the CNF stage
-(`cnf.tseitin`) as a unit clause, the truth-table and BDD managers
-(`bdd.count_roots`) with an AND.
+`feature_eq`, which fold it against the feature's range. Bit patterns
+above a feature's range are ruled out by a domain constraint wire that
+every count conjoins onto its root: the CNF stage (`cnf.tseitin`) as a
+unit clause, the truth-table and BDD managers (`bdd.count_roots`) with an
+AND.
 
 `Circuit.cone` is the one walk over the gates: every consumer (the Tseitin
 encoder, the table and BDD managers, `partial_evaluate`) visits the wires
-that its roots read through it, in ascending wire order.
+that its roots read through it, in ascending wire order. A gate reads only
+lower wires, so one downward scan from the highest root marks the whole
+cone, and the wires are then handed out lazily from the marks.
 
 `constrain_region` conjoins the ranges of a sub-domain (such as the ball
 from `predicates.region`) onto a root compiled over a wider domain.
@@ -35,7 +38,8 @@ narrows the interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Optional, Sequence
+from itertools import compress
+from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .models import (
     DecisionTree,
@@ -98,11 +102,13 @@ class Circuit:
 
     # -- gate construction -------------------------------------------------
 
+    # `and_`, `or_`, `xor_` and `_ripple` do `_emit`'s lookup themselves: one
+    # call per gate is a good share of the time it takes to compile a network
     def _emit(self, key: tuple) -> int:
         wire = self._cache.get(key)
         if wire is None:
+            wire = self.num_input_bits + len(self.gates)
             self.gates.append(key)
-            wire = self.num_input_bits + len(self.gates) - 1
             self._cache[key] = wire
         return wire
 
@@ -140,7 +146,13 @@ class Circuit:
             return self.const(False)
         if a > b:
             a, b = b, a
-        return self._emit(("and", a, b))
+        key = ("and", a, b)
+        wire = self._cache.get(key)
+        if wire is None:
+            wire = self.num_input_bits + len(self.gates)
+            self.gates.append(key)
+            self._cache[key] = wire
+        return wire
 
     def or_(self, a: int, b: int) -> int:
         consts = self._consts
@@ -155,7 +167,13 @@ class Circuit:
             return self.const(True)
         if a > b:
             a, b = b, a
-        return self._emit(("or", a, b))
+        key = ("or", a, b)
+        wire = self._cache.get(key)
+        if wire is None:
+            wire = self.num_input_bits + len(self.gates)
+            self.gates.append(key)
+            self._cache[key] = wire
+        return wire
 
     def xor_(self, a: int, b: int) -> int:
         consts = self._consts
@@ -170,7 +188,13 @@ class Circuit:
             return self.const(True)
         if a > b:
             a, b = b, a
-        return self._emit(("xor", a, b))
+        key = ("xor", a, b)
+        wire = self._cache.get(key)
+        if wire is None:
+            wire = self.num_input_bits + len(self.gates)
+            self.gates.append(key)
+            self._cache[key] = wire
+        return wire
 
     def and_all(self, wires: Sequence[int]) -> int:
         acc = self.const(True)
@@ -305,8 +329,64 @@ class Circuit:
         return b.bits + (sign,) * (w - len(b.bits))
 
     def _ripple(self, xs, ys, carry):
+        """The sum bits of xs + ys + carry, a full adder per bit.
+
+        A full adder is t = x ^ y, the sum t ^ carry and the carry out
+        (x & y) | (carry & t). Where none of these folds (no constant
+        operand, neither x and y nor t and carry equal or negations of each
+        other) its five gates are looked up in `_cache` here, with the keys
+        and in the order that `xor_`, `and_` and `or_` would use. Where one
+        operand is constant false and the other two do not fold, the
+        generic methods would make only those two's XOR (the sum) and AND
+        (the carry), and so does this. Any other bit goes through them.
+        """
+        consts, neg, cache, gates = self._consts, self._neg, self._cache, self.gates
+        n_in = self.num_input_bits
         out = []
         for x, y in zip(xs, ys):
+            if x not in consts and y not in consts and carry not in consts:
+                if x > y:
+                    x, y = y, x
+                if x != y and neg.get(x) != y:
+                    t = cache.get(key := ("xor", x, y))
+                    if t is None:
+                        t = cache[key] = n_in + len(gates)
+                        gates.append(key)
+                    if t != carry and neg.get(t) != carry:
+                        a, b = (t, carry) if t < carry else (carry, t)
+                        s = cache.get(key := ("xor", a, b))
+                        if s is None:
+                            s = cache[key] = n_in + len(gates)
+                            gates.append(key)
+                        out.append(s)
+                        xy = cache.get(key := ("and", x, y))
+                        if xy is None:
+                            xy = cache[key] = n_in + len(gates)
+                            gates.append(key)
+                        ct = cache.get(key := ("and", a, b))
+                        if ct is None:
+                            ct = cache[key] = n_in + len(gates)
+                            gates.append(key)
+                        carry = cache.get(key := ("or", xy, ct) if xy < ct else ("or", ct, xy))
+                        if carry is None:
+                            carry = cache[key] = n_in + len(gates)
+                            gates.append(key)
+                        continue
+            else:
+                values = (consts.get(x), consts.get(y), consts.get(carry))
+                if values.count(None) == 2 and False in values:
+                    a, b = sorted(w for w, v in zip((x, y, carry), values) if v is None)
+                    if a != b and neg.get(a) != b:
+                        s = cache.get(key := ("xor", a, b))
+                        if s is None:
+                            s = cache[key] = n_in + len(gates)
+                            gates.append(key)
+                        out.append(s)
+                        carry = cache.get(key := ("and", a, b))
+                        if carry is None:
+                            carry = cache[key] = n_in + len(gates)
+                            gates.append(key)
+                        continue
             t = self.xor_(x, y)
             out.append(self.xor_(t, carry))
             carry = self.or_(self.and_(x, y), self.and_(carry, t))
@@ -362,22 +442,37 @@ class Circuit:
 
     # -- cones and evaluation -------------------------------------------------
 
-    def cone(self, wires: Iterable[int], done: Container[int] = ()) -> list[int]:
+    def cone(self, wires: Iterable[int], done: Container[int] = ()) -> Iterator[int]:
         """`wires` and every wire they read, ascending, so operands come first.
 
-        A wire in `done` is neither entered nor returned.
+        A wire in `done` is neither entered nor returned. A gate reads only
+        lower wires, so one scan down from the highest of `wires` marks the
+        cone in a bytearray: a wire's mark is final when the scan reaches it,
+        and each run of unmarked wires is skipped in one `rfind`, so a small
+        cone above a large `done` costs little. The scan is over when this
+        returns, and the marked wires are then given one at a time, so the
+        caller may add to `done` as it goes.
         """
         n_in, gates = self.num_input_bits, self.gates
-        seen = set()
-        stack = list(wires)
-        while stack:
-            w = stack.pop()
-            if w in seen or w in done:
+        roots = list(wires)
+        top = max(roots, default=-1)
+        mark = bytearray(top + 1)
+        for w in roots:
+            mark[w] = 1
+        w = top
+        while w >= 0:
+            if not mark[w]:
+                w = mark.rfind(1, 0, w)  # skips an unmarked run at C speed
                 continue
-            seen.add(w)
-            if w >= n_in and gates[w - n_in][0] != "const":
-                stack.extend(gates[w - n_in][1:])
-        return sorted(seen)
+            if w in done:
+                mark[w] = 0
+            elif w >= n_in:
+                gate = gates[w - n_in]
+                if gate[0] != "const":
+                    mark[gate[1]] = 1  # a "not" gate's one operand is also its last
+                    mark[gate[-1]] = 1
+            w -= 1
+        return compress(range(top + 1), mark)
 
     def simulate(self, point: Sequence[int]) -> list[bool]:
         """Topological evaluation; returns the value of every wire."""

@@ -8,11 +8,13 @@ assignment to the projection variables determines all auxiliaries by unit
 propagation alone, so projected counts equal input counts.
 
 `tseitin` walks the root's cone once and keeps what the walk gives per gate:
-its kind and its literals, in clause order. That record is the formula.
-`emit_dimacs` writes it through one `%` template per gate kind, a few
-thousand gates to a string, so no clause tuple is made on the way to
-DIMACS; the clause tuples that the DPLL, `probe_functional_extension` and
-the tests read are cut from the same record when first read. Any other
+its kind and the names of its variables, in clause order. That record is
+the formula. Each variable is named once, as the string of its number, and
+each kind's `%s` template writes the signs, so `emit_dimacs` writes the
+record a few thousand gates to a string without formatting a number twice
+or making a clause tuple. The clause tuples that the DPLL,
+`probe_functional_extension` and the tests read are made from the same
+record when first read, with one int object per literal. Any other
 `CnfFormula` (one read by `parse_dimacs`) is written a clause per line.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 from .circuit import Circuit
 
@@ -53,104 +55,110 @@ class CnfFormula:
         return len(self.clauses), (" ".join(map(str, c)) + " 0" for c in self.clauses)
 
 
-# Each gate kind's clause lengths. `tseitin` lists a gate's literals clause by
-# clause in this order; `emit_dimacs` formats them through the kind's template
-# and `TseitinFormula.clauses` cuts them at these lengths. A "unit" is a const
-# gate or the unit clause of the root or of the domain wire.
-_CLAUSE_LENGTHS = {
-    "unit": (1,),
-    "not": (2, 2),
-    "and": (2, 2, 3),
-    "or": (2, 2, 3),
-    "xor": (3, 3, 3, 3),
-}
+# Each gate kind's clauses, as a `%` template of one line per clause whose
+# `%s` slots take the names of the gate's variables, in this order. A const
+# gate is a positive or a negative unit, as are the unit clauses of the root
+# and of the domain wire. `emit_dimacs` fills the templates; the signs that
+# `TseitinFormula.clauses` gives each name are read off them.
 _GATE_TEMPLATES = {
-    kind: "\n".join(" ".join(["%d"] * n) + " 0" for n in lengths)
-    for kind, lengths in _CLAUSE_LENGTHS.items()
+    "pos": "%s 0",
+    "neg": "-%s 0",
+    "not": "%s %s 0\n-%s -%s 0",
+    "and": "-%s %s 0\n-%s %s 0\n%s -%s -%s 0",
+    "or": "%s -%s 0\n%s -%s 0\n-%s %s %s 0",
+    "xor": "-%s %s %s 0\n-%s -%s -%s 0\n%s %s -%s 0\n%s -%s %s 0",
 }
-_GATE_LITERALS = {kind: sum(lengths) for kind, lengths in _CLAUSE_LENGTHS.items()}
-_GATE_CLAUSES = {kind: len(lengths) for kind, lengths in _CLAUSE_LENGTHS.items()}
+# per kind, each clause as the signs of its literals: True where negated
+_GATE_SIGNS = {
+    kind: tuple(tuple(slot == "-%s" for slot in line.split()[:-1]) for line in template.split("\n"))
+    for kind, template in _GATE_TEMPLATES.items()
+}
+_GATE_NAMES = {kind: template.count("%s") for kind, template in _GATE_TEMPLATES.items()}
+_GATE_CLAUSES = {kind: len(signs) for kind, signs in _GATE_SIGNS.items()}
 
 
 class TseitinFormula(CnfFormula):
     """A formula as `tseitin`'s walk gave it: `kinds[i]` is the i-th gate's
-    kind and `literals` holds every gate's literals, clause by clause. The
-    clause tuples are cut from `literals` when `clauses` is first read."""
+    kind and `names` holds the names of every gate's variables, in the
+    order of its kind's template. The clause tuples are made from the names
+    when `clauses` is first read."""
 
     def __init__(self, num_vars: int, projection: frozenset[int], kinds: list[str],
-                 literals: list[int]):
+                 names: list[str]):
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "projection", projection)
         object.__setattr__(self, "kinds", kinds)
-        object.__setattr__(self, "literals", literals)
+        object.__setattr__(self, "names", names)
 
     @cached_property
     def clauses(self) -> tuple[tuple[int, ...], ...]:
-        rest = iter(self.literals)
-        lengths = _CLAUSE_LENGTHS
-        return tuple(tuple(islice(rest, n)) for kind in self.kinds for n in lengths[kind])
+        # each variable's two literals are made once and shared by all its clauses
+        pos = {str(v): v for v in range(1, self.num_vars + 1)}
+        neg = {name: -v for name, v in pos.items()}
+        # per kind, the table that each of its names is read from
+        tables = {kind: tuple(neg if negated else pos for clause in signs for negated in clause)
+                  for kind, signs in _GATE_SIGNS.items()}
+        kinds = self.kinds
+        read_from = chain.from_iterable(map(tables.__getitem__, kinds))
+        literals = map(dict.__getitem__, read_from, self.names)
+        return tuple(
+            tuple(islice(literals, len(clause))) for kind in kinds for clause in _GATE_SIGNS[kind]
+        )
 
     def _clause_lines(self):
         kinds = self.kinds
-        return sum(map(_GATE_CLAUSES.__getitem__, kinds)), _gate_chunks(kinds, self.literals)
+        return sum(map(_GATE_CLAUSES.__getitem__, kinds)), _gate_chunks(kinds, self.names)
 
 
 def tseitin(circuit: Circuit, root: int) -> TseitinFormula:
     """CNF for `root` AND the domain-range constraint, projection = input bits.
 
     One pass over the gates of `Circuit.cone` numbers each gate and records
-    its kind and literals: the cone is ascending, so a gate's operands are
-    numbered before it.
+    its kind and the names of its variables: the cone is ascending, so a
+    gate's operands are named before it.
     """
     n_inputs = circuit.num_input_bits
     gates = circuit.gates
     targets = (root, circuit.domain_wire)
 
-    # each variable's two literals are made once and shared by all its
-    # clauses: a fresh `-a` per clause costs an int object each time
-    var_of = list(range(1, n_inputs + 1)) + [0] * len(gates)
-    neg_of = [-v for v in var_of]
+    # each variable is named once, and all its literals in the text are
+    # that one string: a `%d` slot would format the number again each time
+    name_of = [str(v) for v in range(1, n_inputs + 1)] + [None] * len(gates)
     kinds: list[str] = []
     add_kind = kinds.append
-    lits: list[int] = []
-    units = set()
+    names: list[str] = []
+    units = set()  # (kind, name) of each unit clause
     v = n_inputs
     for w in circuit.cone(targets):
         if w < n_inputs:
             continue
         v += 1
-        nv = -v
-        var_of[w] = v
-        neg_of[w] = nv
+        name_of[w] = s = str(v)
         gate = gates[w - n_inputs]
         op = gate[0]
-        if op == "const":
-            unit = v if gate[1] else nv
-            add_kind("unit")
-            lits.append(unit)
-            units.add(unit)
+        if op == "xor":
+            a, b = name_of[gate[1]], name_of[gate[2]]
+            names += (s, a, b, s, a, b, s, a, b, s, a, b)
         elif op == "not":
-            add_kind(op)
-            lits += (v, var_of[gate[1]], nv, neg_of[gate[1]])
+            a = name_of[gate[1]]
+            names += (s, a, s, a)
+        elif op == "const":
+            op = "pos" if gate[1] else "neg"
+            names.append(s)
+            units.add((op, s))
         else:
-            a, na = var_of[gate[1]], neg_of[gate[1]]
-            b, nb = var_of[gate[2]], neg_of[gate[2]]
-            add_kind(op)
-            if op == "and":
-                lits += (nv, a, nv, b, v, na, nb)
-            elif op == "or":
-                lits += (v, na, v, nb, nv, a, b)
-            else:  # xor
-                lits += (nv, a, b, nv, na, nb, v, a, nb, v, na, b)
+            a, b = name_of[gate[1]], name_of[gate[2]]
+            names += (s, a, s, b, s, a, b)
+        add_kind(op)
 
     for target in targets:
-        lit = var_of[target]
-        if lit not in units:
-            add_kind("unit")
-            lits.append(lit)
-            units.add(lit)
+        unit = ("pos", name_of[target])
+        if unit not in units:
+            add_kind("pos")
+            names.append(unit[1])
+            units.add(unit)
 
-    return TseitinFormula(v, frozenset(range(1, n_inputs + 1)), kinds, lits)
+    return TseitinFormula(v, frozenset(range(1, n_inputs + 1)), kinds, names)
 
 
 DIALECTS = ("ind_comment", "pshow_comment")
@@ -158,14 +166,14 @@ DIALECTS = ("ind_comment", "pshow_comment")
 _CHUNK_GATES = 2048
 
 
-def _gate_chunks(kinds, literals):
+def _gate_chunks(kinds, names):
     """A Tseitin formula's clause lines, `_CHUNK_GATES` gates to a string."""
-    templates, counts = _GATE_TEMPLATES, _GATE_LITERALS
+    templates, counts = _GATE_TEMPLATES, _GATE_NAMES
     end = 0
     for i in range(0, len(kinds), _CHUNK_GATES):
         chunk = kinds[i : i + _CHUNK_GATES]
         start, end = end, end + sum(map(counts.__getitem__, chunk))
-        yield "\n".join(map(templates.__getitem__, chunk)) % tuple(literals[start:end])
+        yield "\n".join(map(templates.__getitem__, chunk)) % tuple(names[start:end])
 
 
 def emit_dimacs(cnf: CnfFormula, dialect: str = "ind_comment") -> str:

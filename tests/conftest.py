@@ -7,6 +7,7 @@ import pytest
 
 import exactml.bdd
 from exactml.circuit import Circuit
+from exactml.cnf import CnfFormula
 from exactml.models import (
     InputDomain, Leaf, QuantizedNetwork, load_domain, load_network, load_tree,
 )
@@ -292,6 +293,75 @@ def difference_label(model, domain):
         else:
             return l
     return None
+
+
+# ---------------------------------------------------------------------------
+# The circuit -> CNF path through the generic gate methods, a walk from the
+# roots and int literals: test oracles for its fast paths
+# ---------------------------------------------------------------------------
+
+def reference_ripple(self, xs, ys, carry):
+    """`Circuit._ripple` by the generic gate methods alone, for patching in."""
+    out = []
+    for x, y in zip(xs, ys):
+        t = self.xor_(x, y)
+        out.append(self.xor_(t, carry))
+        carry = self.or_(self.and_(x, y), self.and_(carry, t))
+    return out
+
+
+def reference_cone(circuit, wires, done=()):
+    """`Circuit.cone` as a list, by a walk down from the roots."""
+    n_in, gates = circuit.num_input_bits, circuit.gates
+    seen = set()
+    stack = list(wires)
+    while stack:
+        w = stack.pop()
+        if w in seen or w in done:
+            continue
+        seen.add(w)
+        if w >= n_in and gates[w - n_in][0] != "const":
+            stack.extend(gates[w - n_in][1:])
+    return sorted(seen)
+
+
+def reference_tseitin(circuit, root):
+    """`cnf.tseitin` as a `CnfFormula` of int-literal clause tuples, made gate by gate."""
+    n_inputs = circuit.num_input_bits
+    gates = circuit.gates
+    targets = (root, circuit.domain_wire)
+    var_of = list(range(1, n_inputs + 1)) + [0] * len(gates)
+    clauses = []
+    units = set()
+    v = n_inputs
+    for w in reference_cone(circuit, targets):
+        if w < n_inputs:
+            continue
+        v += 1
+        var_of[w] = v
+        gate = gates[w - n_inputs]
+        op = gate[0]
+        if op == "const":
+            unit = v if gate[1] else -v
+            clauses.append((unit,))
+            units.add(unit)
+        elif op == "not":
+            a = var_of[gate[1]]
+            clauses += [(v, a), (-v, -a)]
+        else:
+            a, b = var_of[gate[1]], var_of[gate[2]]
+            if op == "and":
+                clauses += [(-v, a), (-v, b), (v, -a, -b)]
+            elif op == "or":
+                clauses += [(v, -a), (v, -b), (-v, a, b)]
+            else:  # xor
+                clauses += [(-v, a, b), (-v, -a, -b), (v, a, -b), (v, -a, b)]
+    for target in targets:
+        lit = var_of[target]
+        if lit not in units:
+            clauses.append((lit,))
+            units.add(lit)
+    return CnfFormula(v, tuple(clauses), frozenset(range(1, n_inputs + 1)))
 
 
 # ---------------------------------------------------------------------------

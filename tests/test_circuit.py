@@ -21,6 +21,8 @@ from exactml.metrics import binary_truth, learnability_roots
 from exactml.models import ModelError, eval_model, load_network, load_tree
 from exactml.oracle import enumerate_domain
 from exactml.predicates import (
+    And,
+    CmpFeature,
     Const,
     Not,
     builtin_graph_property,
@@ -33,10 +35,13 @@ from conftest import (
     bundle_value,
     constant_tree_doc,
     make_domain,
+    network_to_document,
     random_network,
     random_point,
     random_predicate,
     random_tree,
+    reference_cone,
+    reference_ripple,
     simulate_outputs,
 )
 
@@ -364,7 +369,7 @@ class TestCone:
             return c.gates[w - base][1:]
 
         for roots in ([c.output("model_1")], list(c.outputs.values()), [c.domain_wire, 0]):
-            cone = c.cone(roots)
+            cone = list(c.cone(roots))
             assert cone == sorted(set(cone))
             assert set(roots) <= set(cone)
             read = {x for w in cone for x in operands(w)}
@@ -376,24 +381,123 @@ class TestCone:
         x = c.and_(0, 1)
         y = c.or_(x, 2)
         c.xor_(y, 0)  # a reader outside the cone
-        assert c.cone([y]) == [0, 1, 2, x, y]
-        assert c.cone([x, 2]) == [0, 1, 2, x]
+        assert list(c.cone([y])) == [0, 1, 2, x, y]
+        assert list(c.cone([x, 2])) == [0, 1, 2, x]
 
     def test_done_is_neither_entered_nor_returned(self):
         c = Circuit(make_domain([(0, 1)] * 3))
         x = c.and_(0, 1)
         y = c.or_(x, 2)
-        assert c.cone([y], done={x}) == [2, y]
-        assert c.cone([y], done={x: None, 2: None}) == [y]
-        assert c.cone([y], done={0}) == [1, 2, x, y]
-        assert c.cone([y, x], done={y}) == [0, 1, x]
-        assert c.cone([y], done={y}) == []
+        assert list(c.cone([y], done={x})) == [2, y]
+        assert list(c.cone([y], done={x: None, 2: None})) == [y]
+        assert list(c.cone([y], done={0})) == [1, 2, x, y]
+        assert list(c.cone([y, x], done={y})) == [0, 1, x]
+        assert list(c.cone([y], done={y})) == []
 
     def test_const_gate_adds_no_operands(self):
         c = Circuit(make_domain([(0, 1)] * 2))
         t, f = c.const(True), c.const(False)
-        assert c.cone([t]) == [t]
-        assert c.cone([f, 1]) == [1, f]
+        assert list(c.cone([t])) == [t]
+        assert list(c.cone([f, 1])) == [1, f]
+
+    def test_matches_the_walk_from_the_roots(self):
+        rng = random.Random(2701)
+        for circuit in _mixed_circuits(rng, 6):
+            n = circuit.num_input_bits + len(circuit.gates)
+            for _ in range(20):
+                roots = rng.sample(range(n), rng.randint(1, 4))
+                done = set(rng.sample(range(n), rng.randint(0, n // 3)))
+                for given in ((), done, dict.fromkeys(done)):
+                    assert list(circuit.cone(roots, given)) == reference_cone(circuit, roots, given)
+
+    def test_unmarked_runs_are_skipped_down_to_wire_0(self):
+        c = Circuit(make_domain([(0, 1)] * 3))
+        z = c.and_(0, 2)
+        assert list(c.cone([z])) == [0, 2, z]
+        assert list(c.cone([z], done={0})) == [2, z]
+        assert list(c.cone([z], done={2})) == [0, z]
+
+    def test_done_may_grow_while_the_cone_is_read(self):
+        c = Circuit(make_domain([(0, 1)] * 3))
+        x = c.and_(0, 1)
+        y = c.or_(x, 2)
+        done = set()
+        seen = []
+        for w in c.cone([y], done):
+            seen.append(w)
+            done.add(w)
+        assert seen == [0, 1, 2, x, y]
+
+
+def _varied_net(rng, domain):
+    """A net with 0-2 hidden layers of width 1-4, weights of both signs and shifts 0-2."""
+    hidden = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 2)))
+    net = random_network(rng, domain, hidden=hidden, num_labels=rng.choice((2, 3)),
+                         weight_range=rng.choice((1, 3, 7)))
+    doc = network_to_document(net)
+    for layer in doc["layers"][:-1]:
+        layer["post_shift"] = rng.randint(0, 2)
+    return load_network(doc, domain)
+
+
+_LO_RANGES = [[(0, 7), (-3, 4)], [(2, 9), (-8, -1), (0, 3)], [(-5, 10), (1, 1), (0, 1)], [(3, 18)]]
+
+
+def _mixed_circuits(rng, count):
+    """Nets and trees over domains with lo != 0, each with two feature-to-feature
+    comparisons and a random predicate compiled onto it."""
+    circuits = []
+    for i in range(count):
+        domain = make_domain(_LO_RANGES[i % len(_LO_RANGES)])
+        model = _varied_net(rng, domain) if i % 2 else random_tree(rng, domain, num_labels=3)
+        c = compile_model(model, domain)
+        k = len(domain.features)
+        pairs = [CmpFeature(rng.choice(["<=", "<", ">=", ">", "=", "!="]), rng.randrange(k),
+                            rng.randrange(k)) for _ in range(2)]
+        compile_predicate(c, And((*pairs, random_predicate(rng, domain))), "truth")
+        circuits.append(c)
+    return circuits
+
+
+class TestRipple:
+    """`Circuit._ripple` makes its adders' gates without the generic methods
+    where nothing folds; the gates must be the generic methods' own."""
+
+    def test_models_and_predicates_compile_to_the_generic_gates(self, monkeypatch):
+        fast = _mixed_circuits(random.Random(2702), 24)
+        monkeypatch.setattr(Circuit, "_ripple", reference_ripple)
+        generic = _mixed_circuits(random.Random(2702), 24)
+        for a, b in zip(fast, generic):
+            assert a.gates == b.gates
+            assert a.outputs == b.outputs
+
+    # x, y and the carry into the first bit, on a circuit over the input bits 0, 1 and 2
+    FOLDS = {
+        "plain": lambda c: (0, 1, 2),
+        "x-true": lambda c: (c.const(True), 1, 2),
+        "y-false": lambda c: (0, c.const(False), 2),
+        "carry-false": lambda c: (0, 1, c.const(False)),
+        "carry-true": lambda c: (0, 1, c.const(True)),
+        "two-false": lambda c: (0, c.const(False), c.const(False)),
+        "x-is-y": lambda c: (0, 0, 2),
+        "x-is-not-y": lambda c: (0, c.not_(0), 2),
+        "carry-is-x": lambda c: (0, 1, 0),
+        "carry-is-not-y": lambda c: (0, 1, c.not_(1)),
+        "carry-is-t": lambda c: (0, 1, c.xor_(0, 1)),
+        "carry-is-not-t": lambda c: (0, 1, c.not_(c.xor_(0, 1))),
+        "y-false-carry-is-x": lambda c: (0, c.const(False), 0),
+        "y-false-carry-is-not-x": lambda c: (0, c.const(False), c.not_(0)),
+    }
+
+    @pytest.mark.parametrize("case", FOLDS)
+    def test_each_folding_case_makes_the_generic_gates(self, case):
+        def adder(ripple):
+            c = Circuit(make_domain([(0, 1)] * 3))
+            x, y, carry = self.FOLDS[case](c)
+            # a second bit reads the first one's carry
+            return ripple(c, [x, 2], [y, 0], carry), c.gates
+
+        assert adder(Circuit._ripple) == adder(reference_ripple)
 
 
 class TestPartialEvaluate:

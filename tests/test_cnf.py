@@ -10,7 +10,9 @@ from exactml.metrics import learnability_roots
 from exactml.oracle import enumerate_domain
 from exactml.predicates import GRAPH_PROPERTIES, builtin_graph_property, graph_domain
 
-from conftest import make_domain, random_network, random_predicate, random_tree
+from conftest import (
+    make_domain, random_network, random_predicate, random_tree, reference_tseitin,
+)
 
 
 def _point_to_assignment(circuit, pt):
@@ -310,3 +312,72 @@ class TestGateTemplates:
         wide = Circuit(make_domain([(0, 127), (0, 63)]))
         f = self._check(wide, wide.or_(wide.input_bit(0, 6), wide.input_bit(1, 5)))
         assert emit_dimacs(f).splitlines()[1:3] == ["c ind 1 2 3 4 5 6 7 8 9 10 0", "c ind 11 12 13 0"]
+
+
+class TestReferenceTseitin:
+    """`tseitin` names each variable once and writes the signs from its
+    templates; its clauses must be the int-literal encoding's, unit for unit."""
+
+    @staticmethod
+    def _both(c, root):
+        f, ref = tseitin(c, root), reference_tseitin(c, root)
+        assert (f.num_vars, f.clauses, f.projection) == (ref.num_vars, ref.clauses, ref.projection)
+        for dialect in DIALECTS:
+            assert emit_dimacs(f, dialect) == emit_dimacs(ref, dialect)
+        return f, ref
+
+    def test_random_circuits(self):
+        rng = random.Random(2703)
+        for ranges in ([(0, 5), (-3, 4), (0, 12)], [(1, 6), (0, 3)], [(0, 1)] * 5):
+            dom = make_domain(ranges)
+            for model in (random_tree(rng, dom, num_labels=3),
+                          random_network(rng, dom, hidden=(3,), weight_range=3)):
+                c = compile_model(model, dom)
+                truth = compile_predicate(c, random_predicate(rng, dom, depth=3), "t")
+                wires = c.num_input_bits + len(c.gates)
+                roots = list(c.outputs.values()) + [c.and_(c.output("model_1"), c.not_(truth))]
+                roots += rng.sample(range(wires), 5)
+                for root in roots:
+                    self._both(c, root)
+
+    def _counts(self, c, root, expected):
+        f, ref = self._both(c, root)
+        assert count_projected(f).count == count_projected(ref).count == expected
+        return f
+
+    def test_a_const_false_root_has_both_units_and_counts_zero(self):
+        c = Circuit(make_domain([(0, 2), (0, 1)]))
+        f = self._counts(c, c.const(False), 0)
+        v = f.num_vars  # the last gate made, so the last in the cone
+        assert (v,) in f.clauses and (-v,) in f.clauses
+
+    def test_a_const_true_root_has_one_unit(self):
+        c = Circuit(make_domain([(0, 2), (0, 1)]))
+        f = self._counts(c, c.const(True), 6)
+        v = c.num_input_bits + 1  # gate 0, so the first in the cone
+        assert f.clauses.count((v,)) == 1 and (-v,) not in f.clauses
+
+    def test_a_root_that_is_the_domain_wire_has_one_unit(self):
+        c = Circuit(make_domain([(0, 2), (0, 4)]))
+        f = self._counts(c, c.domain_wire, 15)
+        assert f.clauses.count((f.num_vars,)) == 1
+
+    def test_a_root_that_is_an_input_bit(self):
+        c = Circuit(make_domain([(0, 2), (0, 1)]))
+        f = self._counts(c, c.input_bit(1, 0), 3)
+        assert (c.input_bit(1, 0) + 1,) in f.clauses
+
+    def test_the_pshow_dialect(self):
+        c = Circuit(make_domain([(0, 2), (0, 1)]))
+        root = c.xor_(c.input_bit(0, 1), c.input_bit(1, 0))
+        f = self._counts(c, root, 3)
+        text = emit_dimacs(f, "pshow_comment")
+        assert text.splitlines()[1] == "c p show 1 2 3 0"
+        assert count_projected(parse_dimacs(text)).count == 3
+
+    def test_each_variable_is_one_name(self):
+        dom = make_domain([(0, 63)] * 4)
+        c = compile_model(random_network(random.Random(2704), dom, hidden=(4,), weight_range=7), dom)
+        f = tseitin(c, c.output("model_1"))
+        assert len({id(name) for name in f.names}) <= f.num_vars
+        assert set(f.names) <= {str(v) for v in range(1, f.num_vars + 1)}
