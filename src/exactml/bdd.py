@@ -51,8 +51,8 @@ BDD details:
   order. Besides it, only `apply` follows a node's children.
 
 `count_roots` hands each root to `counter.count_projected` as a
-`CircuitRoot`, so every count the package makes, table, BDD or DPLL, goes
-through that one entry point.
+`CircuitRoot`, so every builtin count, on tables or the BDD, goes through
+that one entry point.
 
 Everything is iterative, so diagrams thousands of levels deep need no
 recursion.
@@ -412,9 +412,8 @@ class BddManager(_WireCompiler):
 class CircuitRoot:
     """A wire to count over its circuit's domain, through a shared manager.
 
-    `counter.count_projected` accepts it in place of a CNF formula: the
-    projection is the circuit's input bits, and the budget is the
-    manager's.
+    `counter.count_projected` counts it: the projection is the circuit's
+    input bits, and the budget is the manager's.
     """
 
     manager: _WireCompiler

@@ -12,9 +12,9 @@ its kind and the names of its variables, in clause order. That record is
 the formula. Each variable is named once, as the string of its number, and
 each kind's `%s` template writes the signs, so `emit_dimacs` writes the
 record a few thousand gates to a string without formatting a number twice
-or making a clause tuple. The clause tuples that the DPLL,
-`probe_functional_extension` and the tests read are made from the same
-record when first read, with one int object per literal. Any other
+or making a clause tuple. The clause tuples that
+`probe_functional_extension` and the tests' reference counters read are
+made from the same record when first read, with one int object per literal. Any other
 `CnfFormula` (one read by `parse_dimacs`) is written a clause per line.
 """
 

@@ -403,30 +403,25 @@ def graph_domain(n_nodes: int) -> InputDomain:
     )
 
 
-def _edge(n: int, i: int, j: int) -> int:
-    return i * n + j
+def _edge_atoms(n: int) -> list[list[Predicate]]:
+    """`has[i][j]` is the atom `e[i][j] = 1`; one object per edge, shared by every conjunct."""
+    return [[CmpConst("=", i * n + j, 1) for j in range(n)] for i in range(n)]
 
 
-def _has(n, i, j) -> Predicate:
-    return CmpConst("=", _edge(n, i, j), 1)
+def _reflexive(has):
+    return And(tuple(has[i][i] for i in range(len(has))))
 
 
-def _lacks(n, i, j) -> Predicate:
-    return CmpConst("=", _edge(n, i, j), 0)
+def _irreflexive(has):
+    n = len(has)
+    return And(tuple(CmpConst("=", i * n + i, 0) for i in range(n)))
 
 
-def _reflexive(n):
-    return And(tuple(_has(n, i, i) for i in range(n)))
-
-
-def _irreflexive(n):
-    return And(tuple(_lacks(n, i, i) for i in range(n)))
-
-
-def _symmetric(n):
+def _symmetric(has):
+    n = len(has)
     return And(
         tuple(
-            implies(_has(n, i, j), _has(n, j, i))
+            implies(has[i][j], has[j][i])
             for i in range(n)
             for j in range(n)
             if i != j
@@ -434,30 +429,33 @@ def _symmetric(n):
     )
 
 
-def _antisymmetric(n):
+def _antisymmetric(has):
+    n = len(has)
     return And(
         tuple(
-            Not(And((_has(n, i, j), _has(n, j, i))))
+            Not(And((has[i][j], has[j][i])))
             for i in range(n)
             for j in range(i + 1, n)
         )
     )
 
 
-def _connex(n):
+def _connex(has):
+    n = len(has)
     return And(
         tuple(
-            Or((_has(n, i, j), _has(n, j, i)))
+            Or((has[i][j], has[j][i]))
             for i in range(n)
             for j in range(i + 1, n)
         )
     )
 
 
-def _transitive(n):
+def _transitive(has):
+    n = len(has)
     return And(
         tuple(
-            implies(And((_has(n, i, j), _has(n, j, k))), _has(n, i, k))
+            implies(And((has[i][j], has[j][k])), has[i][k])
             for i in range(n)
             for j in range(n)
             for k in range(n)
@@ -465,8 +463,8 @@ def _transitive(n):
     )
 
 
-def _partialorder(n):
-    return And((_reflexive(n), _antisymmetric(n), _transitive(n)))
+def _partialorder(has):
+    return And((_reflexive(has), _antisymmetric(has), _transitive(has)))
 
 
 # name -> (d, builder): the property over n nodes is counted as n**d
@@ -474,15 +472,15 @@ def _partialorder(n):
 _GRAPH_BUILDERS = {
     "antisymmetric": (2, _antisymmetric),
     "connex": (2, _connex),
-    "equivalence": (3, lambda n: And((_reflexive(n), _symmetric(n), _transitive(n)))),
+    "equivalence": (3, lambda has: And((_reflexive(has), _symmetric(has), _transitive(has)))),
     "irreflexive": (1, _irreflexive),
     "nonstrictorder": (3, _partialorder),
     "partialorder": (3, _partialorder),
-    "preorder": (3, lambda n: And((_reflexive(n), _transitive(n)))),
+    "preorder": (3, lambda has: And((_reflexive(has), _transitive(has)))),
     "reflexive": (1, _reflexive),
-    "strictorder": (3, lambda n: And((_irreflexive(n), _transitive(n)))),
-    "totalorder": (3, lambda n: And((_reflexive(n), _antisymmetric(n), _transitive(n),
-                                     _connex(n)))),
+    "strictorder": (3, lambda has: And((_irreflexive(has), _transitive(has)))),
+    "totalorder": (3, lambda has: And((_reflexive(has), _antisymmetric(has),
+                                       _transitive(has), _connex(has)))),
     "transitive": (3, _transitive),
 }
 GRAPH_PROPERTIES = tuple(_GRAPH_BUILDERS)
@@ -513,7 +511,7 @@ def builtin_graph_property(name: str, n_nodes: int) -> Predicate:
     if n_nodes ** degree > MAX_QUANTIFIER_COPIES:
         raise PredicateError(f"{key} over {n_nodes} nodes is past the limit of "
                              f"{MAX_QUANTIFIER_COPIES} conjuncts")
-    return build(n_nodes)
+    return build(_edge_atoms(n_nodes))
 
 
 # ---------------------------------------------------------------------------

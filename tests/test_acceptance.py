@@ -22,11 +22,7 @@ from exactml.circuit import (
 )
 from exactml.cli import main as cli_main
 from exactml.cnf import tseitin
-from exactml.counter import (
-    count_enumerate,
-    count_projected,
-    probe_functional_extension,
-)
+from exactml.counter import probe_functional_extension
 from exactml.metrics import learnability_roots, safety, statistical_baseline
 from exactml.models import eval_model, load_tree
 from exactml.oracle import (
@@ -42,6 +38,7 @@ from exactml.predicates import (
 )
 
 from conftest import make_domain, random_predicate, reflexive_tree_doc
+from reference_counters import count_enumerate, count_projected
 
 
 @contextmanager

@@ -11,7 +11,6 @@ import exactml.counter
 from exactml.bdd import XOR, BddManager, CircuitRoot, TableManager, count_roots, variable_order
 from exactml.circuit import Circuit, compile_model, compile_predicate
 from exactml.cnf import tseitin
-from exactml.counter import count_projected
 from exactml.metrics import (
     binary_truth,
     learnability,
@@ -37,6 +36,7 @@ from exactml.predicates import (
 )
 
 from conftest import constant_tree_doc, make_domain, random_network, random_tree, truth_family
+from reference_counters import count_projected
 
 DPLL = tseitin_count_fn(count_projected)
 

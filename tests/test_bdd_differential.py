@@ -18,7 +18,6 @@ from hypothesis import strategies as st  # noqa: E402
 from exactml.bdd import count_roots  # noqa: E402
 from exactml.circuit import Circuit, compile_model, compile_predicate  # noqa: E402
 from exactml.cnf import tseitin  # noqa: E402
-from exactml.counter import count_projected  # noqa: E402
 from exactml.metrics import (  # noqa: E402
     learnability,
     robustness,
@@ -45,6 +44,7 @@ from conftest import (  # noqa: E402
     random_tree,
     truth_family,
 )
+from reference_counters import count_projected  # noqa: E402
 
 DPLL = tseitin_count_fn(count_projected)
 

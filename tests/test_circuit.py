@@ -16,7 +16,6 @@ from exactml.circuit import (
     partial_evaluate,
 )
 from exactml.cnf import tseitin
-from exactml.counter import count_projected
 from exactml.metrics import binary_truth, learnability_roots
 from exactml.models import ModelError, eval_model, load_network, load_tree
 from exactml.oracle import enumerate_domain
@@ -44,6 +43,7 @@ from conftest import (
     reference_ripple,
     simulate_outputs,
 )
+from reference_counters import count_projected
 
 
 class TestCompileTree:

@@ -14,7 +14,6 @@ import exactml.oracle
 import exactml.predicates
 from exactml.cli import build_parser, main
 from exactml.cnf import CnfFormula, emit_dimacs, parse_dimacs
-from exactml.counter import count_projected
 from exactml.metrics import binary_truth
 from exactml.oracle import brute_count_predicate
 from exactml.predicates import (
@@ -36,6 +35,7 @@ from conftest import (
     reflexive_tree_doc,
     tree_to_document,
 )
+from reference_counters import count_projected
 
 
 @pytest.fixture
@@ -804,7 +804,7 @@ class TestOracleCommand:
 class TestExternalBackend:
     def test_emitted_tp_formula_counts_reflexive(self, workdir, tmp_path):
         # what an external exact counter would see: parse the file back and count
-        from exactml.counter import count_projected
+        from reference_counters import count_projected
 
         (tmp_path / "tree4.json").write_text(json.dumps(reflexive_tree_doc(4)))
         out = workdir / "tp.cnf"

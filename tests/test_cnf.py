@@ -5,7 +5,7 @@ import pytest
 import exactml.cnf
 from exactml.circuit import Circuit, compile_model, compile_predicate, compile_tree
 from exactml.cnf import DIALECTS, CnfFormula, DimacsError, emit_dimacs, parse_dimacs, tseitin
-from exactml.counter import count_projected, probe_functional_extension
+from exactml.counter import probe_functional_extension
 from exactml.metrics import learnability_roots
 from exactml.oracle import enumerate_domain
 from exactml.predicates import GRAPH_PROPERTIES, builtin_graph_property, graph_domain
@@ -13,6 +13,7 @@ from exactml.predicates import GRAPH_PROPERTIES, builtin_graph_property, graph_d
 from conftest import (
     make_domain, random_network, random_predicate, random_tree, reference_tseitin,
 )
+from reference_counters import count_projected
 
 
 def _point_to_assignment(circuit, pt):

@@ -1,25 +1,21 @@
 import hashlib
+import json
 import random
 import shlex
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from exactml.circuit import Circuit, compile_predicate
+from exactml.circuit import Circuit, compile_model, compile_predicate
 from exactml.cnf import CnfFormula, DimacsError, emit_dimacs, parse_dimacs, tseitin
-from exactml.counter import (
-    DEFAULT_BUDGET,
-    count_enumerate,
-    count_external,
-    count_projected,
-    parse_external_count,
-    probe_functional_extension,
-)
+from exactml.counter import count_external, parse_external_count, probe_functional_extension
 from exactml.oracle import brute_count_root
 from exactml.predicates import builtin_graph_property, graph_domain
 
-from conftest import make_domain, random_predicate
+from conftest import make_domain, random_predicate, random_tree, varied_network
+from reference_counters import DEFAULT_BUDGET, count_enumerate, count_projected
 
 
 def foreign_formulas():
@@ -43,6 +39,25 @@ def foreign_formulas():
             v for v in range(1, num_vars + 1) if rng.random() < 0.5
         )
         yield CnfFormula(num_vars, clauses, projection)
+
+
+def tseitin_formulas():
+    """The Tseitin formula of every output of 40 seeded random trees and nets
+    (105 formulas) over 1-3 features of up to 8 values each."""
+    rng = random.Random(66)
+    for i in range(40):
+        dom = make_domain(
+            [(rng.randint(-3, 0), rng.randint(0, 4)) for _ in range(rng.randint(1, 3))]
+        )
+        if i % 2:
+            model = varied_network(rng, dom)
+        else:
+            model = random_tree(
+                rng, dom, num_labels=rng.choice((2, 3)), max_depth=rng.randint(1, 5)
+            )
+        circ = compile_model(model, dom)
+        for wire in circ.outputs.values():
+            yield tseitin(circ, wire)
 
 
 @pytest.mark.parametrize(
@@ -190,6 +205,21 @@ class TestCountProjected:
         digest = hashlib.sha256(repr(records).encode()).hexdigest()
         assert digest == self.FOREIGN_STATS_SHA256
 
+    # the same record over `tseitin_formulas`, where a total projection
+    # assignment forces every auxiliary and the search never goes below it
+    TSEITIN_STATS_SHA256 = "1a614d5640d946a5f5e7b6b968f643534a736c51e86ced4f6b492234078d4edc"
+
+    def test_search_stats_on_tseitin_formulas_are_pinned(self):
+        records = []
+        for f in tseitin_formulas():
+            for budget in (3, 50, DEFAULT_BUDGET):
+                r = count_projected(f, budget)
+                records.append(
+                    (r.count, r.exhausted, r.stats["decisions"], r.stats["propagations"])
+                )
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()
+        assert digest == self.TSEITIN_STATS_SHA256
+
     def test_counts_are_independent_across_threads(self):
         # no shared mutable state between concurrent counts
         from concurrent.futures import ThreadPoolExecutor
@@ -302,6 +332,19 @@ class TestCountExternal:
                                                                {"tool": "projected_exact"})
         assert (tmp_path / "seen.cnf").read_text() == emit_dimacs(self.CNF, "pshow_comment")
         assert not Path((tmp_path / "path.txt").read_text()).exists()
+
+    def test_a_temporary_directory_with_a_space_stays_one_argument(self, tmp_path, monkeypatch):
+        spaced = tmp_path / "with space"
+        spaced.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spaced))
+        template = self.template(tmp_path, (
+            "import json, pathlib, sys\n"
+            "(pathlib.Path(sys.argv[-1]) / 'argv.json').write_text(json.dumps(sys.argv[1:]))\n"
+            "print('s mc 3')\n"
+        ))
+        assert count_external(self.CNF, template, "projected_exact", "ind_comment").count == 3
+        argv = json.loads((tmp_path / "argv.json").read_text())
+        assert len(argv) == 2 and Path(argv[0]).parent == spaced, argv
 
     def test_a_nonzero_exit_raises_with_the_counters_stderr(self, tmp_path):
         template = self.template(

@@ -125,7 +125,7 @@ class TestLearnability:
         # TP+FN must equal MC(truth wire) and TP+FP must equal MC(model wire)
         from exactml.circuit import compile_model, compile_predicate
         from exactml.cnf import tseitin
-        from exactml.counter import count_projected
+        from reference_counters import count_projected
 
         rng = random.Random(733)
         dom = make_domain([(0, 7), (0, 3), (0, 1)])

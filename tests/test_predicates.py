@@ -101,6 +101,23 @@ class TestGraphProperties:
             if po.evaluate(pt):
                 assert pre.evaluate(pt)
 
+    @pytest.mark.parametrize("name", ["equivalence", "totalorder"])
+    def test_each_edge_atom_is_one_object(self, name):
+        # every conjunct that reads e[i][j] = 1 shares one atom: 16 objects at n=4
+        atoms = {}
+        stack = [builtin_graph_property(name, 4)]
+        while stack:
+            pred = stack.pop()
+            if isinstance(pred, CmpConst):
+                if pred.constant == 1:
+                    atoms.setdefault(pred.feature, set()).add(id(pred))
+            elif hasattr(pred, "child"):
+                stack.append(pred.child)
+            else:
+                stack.extend(pred.children)
+        assert sorted(atoms) == list(range(16))
+        assert all(len(ids) == 1 for ids in atoms.values())
+
     def test_unknown_name(self):
         with pytest.raises(PredicateError, match="unknown graph property"):
             builtin_graph_property("symmetric-ish", 3)
