@@ -28,7 +28,11 @@ gates as they are.
 
 Arithmetic (for networks and feature-to-feature comparisons) is two's
 complement with widths chosen from exact interval bounds, so overflow is
-impossible by construction. `bound_label` decides a network's argmax on
+impossible by construction. `network_logits` makes each product of a
+layer's input and a weight magnitude once for all the layer's rows, and
+computes a row as `P - N`: the sum of its positive terms minus the sum of
+its negative ones, so that a negative weight costs no negation of its
+own. `bound_label` decides a network's argmax on
 a box before anything is compiled, in one pass over its layers that
 carries each unit's integer interval (the bounds the compiled bundles
 have) next to an integer linear form over the inputs, whose range
@@ -325,8 +329,11 @@ class Circuit:
         return self.add(enc, self.const_bundle(f.lo))
 
     def _extend(self, b: Bundle, w: int) -> tuple[int, ...]:
+        """b's bits sign-extended, or cut, to w bits. Sums and differences are
+        right modulo 2**w, so a cut operand still gives a result that holds
+        its range in w bits, the width that `add` and `sub` give it."""
         sign = b.bits[-1]
-        return b.bits + (sign,) * (w - len(b.bits))
+        return (b.bits + (sign,) * (w - len(b.bits)))[:w]
 
     def _ripple(self, xs, ys, carry):
         """The sum bits of xs + ys + carry, a full adder per bit.
@@ -419,16 +426,18 @@ class Circuit:
         return self._register(bits, a.lo >> k, a.hi >> k)
 
     def mul_const(self, a: Bundle, c: int) -> Bundle:
-        """Shift-and-add multiplication by a known integer constant."""
-        if c == 0:
-            return self.const_bundle(0)
+        """Shift-and-add multiplication by a known constant c >= 1.
+
+        `network_logits` multiplies by a weight's magnitude only; a negative
+        weight's product is subtracted, never negated on its own.
+        """
+        if c < 1:
+            raise ValueError(f"mul_const needs a constant of at least 1, not {c}")
         acc = None
-        for k in range(abs(c).bit_length()):
-            if (abs(c) >> k) & 1:
+        for k in range(c.bit_length()):
+            if (c >> k) & 1:
                 term = self.shift_left(a, k)
                 acc = term if acc is None else self.add(acc, term)
-        if c < 0:
-            acc = self.sub(self.const_bundle(0), acc)
         return acc
 
     def relu(self, a: Bundle) -> Bundle:
@@ -522,19 +531,61 @@ def compile_tree(tree: DecisionTree, domain: InputDomain) -> Circuit:
     return c
 
 
+def _sum_fits(const: int, terms: list[Bundle]) -> bool:
+    """Whether every partial sum of `const` (>= 0) and `terms`, in any
+    order, fits in `MAX_BUNDLE_WIDTH` bits."""
+    lo = sum(min(t.lo, 0) for t in terms)
+    hi = const + sum(max(t.hi, 0) for t in terms)
+    return _signed_width(lo, hi) <= MAX_BUNDLE_WIDTH
+
+
+def _sum(c: Circuit, const: int, terms: list[Bundle]) -> Bundle:
+    """`const` (>= 0) plus `terms`, narrowest range first so that the first
+    ripples are short."""
+    terms = sorted([c.const_bundle(const)] * (const > 0) + terms, key=lambda t: t.hi - t.lo)
+    acc = terms[0] if terms else c.const_bundle(0)
+    for t in terms[1:]:
+        acc = c.add(acc, t)
+    return acc
+
+
 def network_logits(c: Circuit, net: QuantizedNetwork) -> list[Bundle]:
-    """Bit-blast the affine layers over the circuit's domain; returns the logits."""
+    """Bit-blast the affine layers over the circuit's domain; returns the logits.
+
+    A layer multiplies each input by each weight magnitude that its rows
+    give that input once (`mul_const`), and the rows share the product. A
+    row sums its positive-weight products and the positive part of its
+    bias into P, its negative-weight products and the negative part of its
+    bias into N, and is `P - N`: one subtraction, or none where N is the
+    constant 0. A layer reads offset-binary bits or ReLU outputs, all >= 0
+    (only a hidden "none" layer's outputs can be negative), so P and N grow
+    with no sign bits to extend. The row's bounds are those of its sum in
+    any order. Where P or N could need more than `MAX_BUNDLE_WIDTH` bits
+    though the row fits (terms near 2**62 that cancel), the row is instead
+    a running sum in row order that adds or subtracts each product in turn.
+    """
     # first layer reads offset-binary encodings; feature lo offsets fold into biases
     acts = [c.encoded_bundle(i) for i in range(len(c.domain.features))]
     offsets = [f.lo for f in c.domain.features]
     for layer in net.layers:
+        # (input, weight magnitude) -> their product, for all the layer's rows
+        pairs = dict.fromkeys((i, abs(w)) for row in layer.weights for i, w in enumerate(row) if w)
+        products = {(i, m): c.mul_const(acts[i], m) for i, m in pairs}
         out = []
         for row, bias in zip(layer.weights, layer.biases):
             folded = bias + sum(w * off for w, off in zip(row, offsets))
-            z = c.const_bundle(folded)
-            for w, a in zip(row, acts):
-                if w != 0:
-                    z = c.add(z, c.mul_const(a, w))
+            pos = [products[i, w] for i, w in enumerate(row) if w > 0]
+            neg = [products[i, -w] for i, w in enumerate(row) if w < 0]
+            pos_bias, neg_bias = max(folded, 0), max(-folded, 0)
+            if _sum_fits(pos_bias, pos) and _sum_fits(neg_bias, neg):
+                z = _sum(c, pos_bias, pos)
+                if neg or neg_bias:
+                    z = c.sub(z, _sum(c, neg_bias, neg))
+            else:
+                z = c.const_bundle(folded)
+                for i, w in enumerate(row):
+                    if w:
+                        z = (c.add if w > 0 else c.sub)(z, products[i, abs(w)])
             z = c.shift_right(z, layer.post_shift)
             if layer.activation == "relu":
                 z = c.relu(z)

@@ -13,6 +13,7 @@ from exactml.circuit import (
     compile_predicate,
     compile_tree,
     constrain_region,
+    network_logits,
     partial_evaluate,
 )
 from exactml.cnf import tseitin
@@ -33,6 +34,7 @@ from exactml.predicates import (
 from conftest import (
     bundle_value,
     constant_tree_doc,
+    logit_bounds,
     make_domain,
     network_to_document,
     random_network,
@@ -44,6 +46,23 @@ from conftest import (
     simulate_outputs,
 )
 from reference_counters import count_projected
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # only `test_logits_are_exact_on_every_point` needs it
+    st = None
+
+
+def exact_logits(net, point):
+    """The integer logits of `net` at `point`, by the rules of `eval_model`."""
+    acts = list(point)
+    for layer in net.layers:
+        acts = [(bias + sum(w * a for w, a in zip(row, acts))) >> layer.post_shift
+                for row, bias in zip(layer.weights, layer.biases)]
+        if layer.activation == "relu":
+            acts = [max(z, 0) for z in acts]
+    return acts
 
 
 class TestCompileTree:
@@ -179,6 +198,76 @@ class TestCompileNetwork:
         with pytest.raises(WidthOverflowError, match="width overflow"):
             compile_network(net, dom)
 
+    def test_rows_whose_p_or_n_is_too_wide_keep_a_running_sum(self):
+        # each hidden unit lies in [2**62, 2**62 + 1]: P = h0 + h2 of the first
+        # logit needs 65 bits, while its running sum h0 - h1 + h2 - h3 fits in
+        # 64; the second logit's P and N fit
+        dom = make_domain([(0, 1)] * 4)
+        hidden = {"weights": [[int(i == j) for j in range(4)] for i in range(4)],
+                  "biases": [2**62] * 4, "activation": "relu", "post_shift": 0}
+        c = Circuit(dom)
+        h = network_logits(c, load_network(
+            {"input_width": 4, "layers": [dict(hidden, activation="none")]}, dom))
+        with pytest.raises(WidthOverflowError):
+            c.add(h[0], h[2])
+        net = load_network(
+            {"input_width": 4,
+             "layers": [hidden, {"weights": [[1, -1, 1, -1], [1, 0, 0, -1]], "biases": [0, 0],
+                                 "activation": "none", "post_shift": 0}]},
+            dom,
+        )
+        c = Circuit(dom)
+        logits = network_logits(c, net)
+        assert [(b.lo, b.hi) for b in logits] == logit_bounds(net, dom) == [(-2, 2), (-1, 1)]
+        model = compile_network(net, dom)
+        for pt in enumerate_domain(dom):
+            values = c.simulate(pt)
+            assert [bundle_value(b, values) for b in logits] == exact_logits(net, pt)
+            assert simulate_outputs(model, pt)[f"model_{eval_model(net, pt, dom)}"]
+
+    def test_a_difference_is_no_wider_than_its_range(self):
+        # the hidden unit is relu(P - N) with P = 3x in [0, 6] and N = 4, 4 bits
+        # each, and P - N in [-4, 2], 3 bits; a fourth bit would take its
+        # product with 3 * 2**60 + 1 past 64 bits, where a running sum compiles
+        dom = make_domain([(-1, 1)])
+        hidden = {"weights": [[3]], "biases": [-1], "activation": "relu", "post_shift": 0}
+        (h,) = network_logits(Circuit(dom), load_network(
+            {"input_width": 1, "layers": [dict(hidden, activation="none")]}, dom))
+        assert (len(h.bits), h.lo, h.hi) == (3, -4, 2)
+        net = load_network(
+            {"input_width": 1,
+             "layers": [hidden, {"weights": [[3 * 2**60 + 1], [1]], "biases": [0, 0],
+                                 "activation": "none", "post_shift": 0}]},
+            dom,
+        )
+        c = compile_network(net, dom)
+        for pt in enumerate_domain(dom):
+            assert simulate_outputs(c, pt)[f"model_{eval_model(net, pt, dom)}"]
+
+    def test_each_product_is_made_once_per_layer(self, monkeypatch):
+        calls = []
+        mul_const = Circuit.mul_const
+        monkeypatch.setattr(Circuit, "mul_const",
+                            lambda self, a, m: calls.append((a, m)) or mul_const(self, a, m))
+        dom = make_domain([(-2, 5), (0, 7), (0, 3)])
+        net = load_network(
+            {"input_width": 3,
+             "layers": [{"weights": [[3, -3, 1], [-3, 3, -1], [3, 0, 2], [0, 0, 0]],
+                         "biases": [1, -2, 0, 4], "activation": "relu", "post_shift": 1},
+                        {"weights": [[2, -2, 1, 5], [-2, 2, 1, -5]], "biases": [0, -3],
+                         "activation": "none", "post_shift": 0}]},
+            dom,
+        )
+        compile_network(net, dom)
+        # each layer has 8 nonzero weights and 4 distinct (input, |w|) pairs
+        assert len(calls) == len(set(calls)) == 8
+
+    @pytest.mark.parametrize("m", [0, -1, -3])
+    def test_mul_const_refuses_a_constant_below_1(self, m):
+        c = Circuit(make_domain([(0, 7)]))
+        with pytest.raises(ValueError, match="at least 1"):
+            c.mul_const(c.encoded_bundle(0), m)
+
     def test_interval_bounds_sound_under_fuzzing(self, registered_bundles):
         rng = random.Random(9)
         dom = make_domain([(-4, 11), (0, 6)])
@@ -191,6 +280,48 @@ class TestCompileNetwork:
             for bundle in registered_bundles:
                 v = bundle_value(bundle, values)
                 assert bundle.lo <= v <= bundle.hi
+
+
+if st is None:
+    def test_logits_are_exact_on_every_point():
+        pytest.skip("needs hypothesis")
+else:
+    @st.composite
+    def small_nets(draw):
+        """A domain of 1-3 features (some with lo < 0) and a net on it: 0-2
+        hidden layers of either activation, each row all negative, all
+        positive, all zero or mixed, and biases of either sign or 0."""
+        ranges = draw(st.lists(
+            st.tuples(st.integers(-4, 3), st.integers(0, 3)).map(lambda t: (t[0], t[0] + t[1])),
+            min_size=1, max_size=3))
+        width, layers = len(ranges), []
+        widths = draw(st.lists(st.integers(1, 3), max_size=2)) + [draw(st.integers(2, 3))]
+        for k, size in enumerate(widths):
+            rows = []
+            for _ in range(size):
+                weights = draw(st.sampled_from(
+                    [st.integers(-7, -1), st.integers(1, 7), st.just(0), st.integers(-7, 7)]))
+                rows.append(draw(st.lists(weights, min_size=width, max_size=width)))
+            last = k == len(widths) - 1
+            layers.append({
+                "weights": rows,
+                "biases": draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size)),
+                "activation": "none" if last else draw(st.sampled_from(["relu", "none"])),
+                "post_shift": 0 if last else draw(st.integers(0, 2)),
+            })
+            width = size
+        dom = make_domain(ranges)
+        return dom, load_network({"input_width": len(ranges), "layers": layers}, dom)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(small_nets())
+    def test_logits_are_exact_on_every_point(dom_net):
+        dom, net = dom_net
+        c = Circuit(dom)
+        logits = network_logits(c, net)
+        for pt in enumerate_domain(dom):
+            values = c.simulate(pt)
+            assert [bundle_value(b, values) for b in logits] == exact_logits(net, pt), pt
 
 
 class TestCompilePredicate:

@@ -991,15 +991,15 @@ class TestGoldenDimacs:
     PRE_POST = ("--pre", "f0 >= 2 && f1 <= 5", "--post", "1")
     GOLDEN = {
         "net-model:1-ind_comment":
-            "ac666427310d629e32e59ef7070f5520b9b6b2d980d0e9dc918ccc52a03428d8",
+            "b5c3e7ee7aa0c184a0c44b22e85a8c1d0ff0b15114c0f3b6bafe955c61d5d2b9",
         "net-viol-ind_comment":
-            "352be3dcf6c6afb613a4f921601759963787d985dad0e34b329dff210b6f2b72",
+            "ac01f3be7ea3731a326ea1541ab820a874d0eb2f985b38e99aa0aad89f5cf843",
         "net-viol-pshow_comment":
-            "bc977a640207b64ee74cd4897f93fc236c8af40ea5d87cf9d3e97c031bc23ddb",
+            "8faf892907a878ea8dff775e5b643bcfad864b38df58246a5eb2d1d3a91a9608",
         "graph3-fn:1-ind_comment":
             "39f4ea39b95aa59df121a76f53163b627f3c8a182ef5b9aa6593d028b34bd705",
         "net-robustness-ind_comment":
-            "8ab5a6d2cfe563cbbf07832ce3af06240be0e247efe698134e2b276aa4c8b38d",
+            "eaac4c9fb2c04c03098f5896175d7aad11315ffd93426de3304a4e819ab39a8e",
     }
 
     @staticmethod

@@ -207,7 +207,7 @@ class TestCountProjected:
 
     # the same record over `tseitin_formulas`, where a total projection
     # assignment forces every auxiliary and the search never goes below it
-    TSEITIN_STATS_SHA256 = "1a614d5640d946a5f5e7b6b968f643534a736c51e86ced4f6b492234078d4edc"
+    TSEITIN_STATS_SHA256 = "9d96a9043f54336bcbab9ef4ebef0026aec2e0555b655adf3c632dc807e0b73e"
 
     def test_search_stats_on_tseitin_formulas_are_pinned(self):
         records = []
