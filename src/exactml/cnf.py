@@ -38,6 +38,8 @@ class CnfFormula:
     projection: frozenset[int]
 
     def check(self) -> None:
+        if self.num_vars < 0:
+            raise DimacsError(f"negative variable count {self.num_vars}")
         for clause in self.clauses:
             if not clause:
                 raise DimacsError("empty clause")

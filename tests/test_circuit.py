@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from exactml.predicates import (
     And,
     CmpFeature,
     Const,
+    GRAPH_PROPERTIES,
     Not,
     builtin_graph_property,
     graph_domain,
@@ -44,6 +46,7 @@ from conftest import (
     reference_cone,
     reference_ripple,
     simulate_outputs,
+    varied_network,
 )
 from reference_counters import count_projected
 
@@ -732,3 +735,48 @@ class TestConstTable:
         circuits += [pred, Circuit(make_domain([(3, 3)]))]
         for c in circuits:
             self.assert_table_matches_gates(c)
+
+
+def _pinned_circuits(suite):
+    """A fixed seeded set of circuits: the acceptance suite's models, varied nets
+    and random trees over domains with lo < 0, the builtin graph properties,
+    random predicates with feature-to-feature comparisons and a region's root."""
+    rng = random.Random(3030)
+    circuits = [compile_model(inst.model, inst.domain) for inst in suite]
+    for i in range(20):
+        domain = make_domain(_LO_RANGES[i % len(_LO_RANGES)])
+        circuits.append(compile_model(varied_network(rng, domain), domain))
+    for i in range(20):
+        domain = make_domain(_LO_RANGES[i % len(_LO_RANGES)])
+        circuits.append(compile_model(random_tree(rng, domain, num_labels=2 + i % 2), domain))
+    for n in range(1, 5):
+        for name in GRAPH_PROPERTIES:
+            c = Circuit(graph_domain(n))
+            compile_predicate(c, builtin_graph_property(name, n), "truth")
+            circuits.append(c)
+    for i in range(12):
+        domain = make_domain(_LO_RANGES[i % len(_LO_RANGES)])
+        k = len(domain.features)
+        pairs = tuple(CmpFeature(rng.choice(["<=", "<", ">=", ">", "=", "!="]), rng.randrange(k),
+                                 rng.randrange(k)) for _ in range(2))
+        c = Circuit(domain)
+        compile_predicate(c, And((random_predicate(rng, domain), *pairs)), "truth")
+        compile_predicate(c, Not(And(pairs)), "other")
+        circuits.append(c)
+    domain = make_domain([(0, 15), (-8, 7)])
+    c = compile_model(varied_network(rng, domain), domain)
+    c.set_output("ball", constrain_region(c, c.output("model_1"), region((2, -3), 2, domain)))
+    circuits.append(c)
+    return circuits
+
+
+# sha256 over the gate lists and outputs of `_pinned_circuits`; a refactor of the
+# builders that keeps every gate, and its position, keeps this digest
+GATE_LIST_SHA256 = "5e53845d72cb5a3a3ef2e9a5102019f91c89a278118feab7cef4d36f48cbd7be"
+
+
+def test_gate_lists_are_pinned(model_suite):
+    digest = hashlib.sha256()
+    for c in _pinned_circuits(model_suite):
+        digest.update(repr((c.gates, sorted(c.outputs.items()))).encode())
+    assert digest.hexdigest() == GATE_LIST_SHA256

@@ -171,8 +171,9 @@ class TestDimacs:
         ("p cnf 2 1\n1 y 0\n", "line 2: bad literal 'y'"),
         ("p cnf 2 1\n0\n", "line 2: empty clause"),
         ("c only a comment\n", "missing 'p cnf' header"),
+        ("p cnf -3 0\n", "negative variable count -3"),
     ], ids=["bad-ind-token", "malformed-header", "non-integer-header", "clause-before-header",
-            "bad-literal", "lone-zero", "no-header"])
+            "bad-literal", "lone-zero", "no-header", "negative-variable-count"])
     def test_malformed_text(self, text, needle):
         with pytest.raises(DimacsError, match=needle):
             parse_dimacs(text)
