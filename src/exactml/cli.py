@@ -255,7 +255,7 @@ def _build_formula(args, domain, model):
 
 def cmd_emit(args) -> int:
     domain, model = _load_inputs(args)
-    # no name keeps the circuit: it is freed before the text is formatted
+    # no name keeps the circuit: it is freed before the gates' lines are joined
     formula = cnf_mod.tseitin(*_build_formula(args, domain, model))
     _write(cnf_mod.emit_dimacs(formula, args.dialect), args.out)
     print(f"projection variables: {len(formula.projection)}", file=sys.stderr)

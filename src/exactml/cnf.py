@@ -7,22 +7,22 @@ gate, never the polarity-reduced form: that is what guarantees that a total
 assignment to the projection variables determines all auxiliaries by unit
 propagation alone, so projected counts equal input counts.
 
-`tseitin` walks the root's cone once and keeps what the walk gives per gate:
-its kind and the names of its variables, in clause order. That record is
-the formula. Each variable is named once, as the string of its number, and
-each kind's `%s` template writes the signs, so `emit_dimacs` writes the
-record a few thousand gates to a string without formatting a number twice
-or making a clause tuple. The clause tuples that
-`probe_functional_extension` and the tests' reference counters read are
-made from the same record when first read, with one int object per literal. Any other
-`CnfFormula` (one read by `parse_dimacs`) is written a clause per line.
+`tseitin` walks the root's cone once and writes each gate's clauses as it
+goes: one f-string per gate kind, with each variable named once, as the
+string of its number. That list of per-gate lines and the count of their
+clauses are the formula, and `emit_dimacs` only joins them under the
+header (`exactml emit` frees the circuit before that join). The clause
+tuples that `probe_functional_extension` and the tests' reference counters
+read are parsed from the lines when first read, with one int object per
+literal. Any other `CnfFormula` (one read by `parse_dimacs`) is written a
+clause per line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 
 from .circuit import Circuit
 
@@ -57,79 +57,49 @@ class CnfFormula:
         return len(self.clauses), (" ".join(map(str, c)) + " 0" for c in self.clauses)
 
 
-# Each gate kind's clauses, as a `%` template of one line per clause whose
-# `%s` slots take the names of the gate's variables, in this order. A const
-# gate is a positive or a negative unit, as are the unit clauses of the root
-# and of the domain wire. `emit_dimacs` fills the templates; the signs that
-# `TseitinFormula.clauses` gives each name are read off them.
-_GATE_TEMPLATES = {
-    "pos": "%s 0",
-    "neg": "-%s 0",
-    "not": "%s %s 0\n-%s -%s 0",
-    "and": "-%s %s 0\n-%s %s 0\n%s -%s -%s 0",
-    "or": "%s -%s 0\n%s -%s 0\n-%s %s %s 0",
-    "xor": "-%s %s %s 0\n-%s -%s -%s 0\n%s %s -%s 0\n%s -%s %s 0",
-}
-# per kind, each clause as the signs of its literals: True where negated
-_GATE_SIGNS = {
-    kind: tuple(tuple(slot == "-%s" for slot in line.split()[:-1]) for line in template.split("\n"))
-    for kind, template in _GATE_TEMPLATES.items()
-}
-_GATE_NAMES = {kind: template.count("%s") for kind, template in _GATE_TEMPLATES.items()}
-_GATE_CLAUSES = {kind: len(signs) for kind, signs in _GATE_SIGNS.items()}
-
-
 class TseitinFormula(CnfFormula):
-    """A formula as `tseitin`'s walk gave it: `kinds[i]` is the i-th gate's
-    kind and `names` holds the names of every gate's variables, in the
-    order of its kind's template. The clause tuples are made from the names
-    when `clauses` is first read."""
+    """A formula as `tseitin`'s walk wrote it: `lines[i]` is the i-th gate's
+    clause lines as one string, and `num_clauses` counts the clauses of all
+    of them. The clause tuples are parsed from the lines when `clauses` is
+    first read."""
 
-    def __init__(self, num_vars: int, projection: frozenset[int], kinds: list[str],
-                 names: list[str]):
+    def __init__(self, num_vars: int, projection: frozenset[int], lines: list[str],
+                 num_clauses: int):
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "projection", projection)
-        object.__setattr__(self, "kinds", kinds)
-        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "num_clauses", num_clauses)
 
     @cached_property
     def clauses(self) -> tuple[tuple[int, ...], ...]:
-        # each variable's two literals are made once and shared by all its clauses
-        pos = {str(v): v for v in range(1, self.num_vars + 1)}
-        neg = {name: -v for name, v in pos.items()}
-        # per kind, the table that each of its names is read from
-        tables = {kind: tuple(neg if negated else pos for clause in signs for negated in clause)
-                  for kind, signs in _GATE_SIGNS.items()}
-        kinds = self.kinds
-        read_from = chain.from_iterable(map(tables.__getitem__, kinds))
-        literals = map(dict.__getitem__, read_from, self.names)
-        return tuple(
-            tuple(islice(literals, len(clause))) for kind in kinds for clause in _GATE_SIGNS[kind]
-        )
+        # each literal's text is read once, and its int object is shared by all its clauses
+        pos = range(1, self.num_vars + 1)
+        literal = {**{str(v): v for v in pos}, **{f"-{v}": -v for v in pos}}
+        read = literal.__getitem__
+        return tuple(tuple(map(read, clause.split()[:-1]))
+                     for clause in chain.from_iterable(map(str.splitlines, self.lines)))
 
     def _clause_lines(self):
-        kinds = self.kinds
-        return sum(map(_GATE_CLAUSES.__getitem__, kinds)), _gate_chunks(kinds, self.names)
+        return self.num_clauses, self.lines
 
 
 def tseitin(circuit: Circuit, root: int) -> TseitinFormula:
     """CNF for `root` AND the domain-range constraint, projection = input bits.
 
-    One pass over the gates of `Circuit.cone` numbers each gate and records
-    its kind and the names of its variables: the cone is ascending, so a
-    gate's operands are named before it.
+    One pass over the gates of `Circuit.cone` numbers each gate and writes
+    its clause lines: the cone is ascending, so a gate's operands are named
+    before it.
     """
     n_inputs = circuit.num_input_bits
     gates = circuit.gates
     targets = (root, circuit.domain_wire)
 
-    # each variable is named once, and all its literals in the text are
-    # that one string: a `%d` slot would format the number again each time
+    # each variable is named once, as the string of its number
     name_of = [str(v) for v in range(1, n_inputs + 1)] + [None] * len(gates)
-    kinds: list[str] = []
-    add_kind = kinds.append
-    names: list[str] = []
-    units = set()  # (kind, name) of each unit clause
+    lines: list[str] = []
+    add = lines.append
+    units = set()  # the line of each unit clause
+    num_clauses = 0
     v = n_inputs
     for w in circuit.cone(targets):
         if w < n_inputs:
@@ -138,44 +108,39 @@ def tseitin(circuit: Circuit, root: int) -> TseitinFormula:
         name_of[w] = s = str(v)
         gate = gates[w - n_inputs]
         op = gate[0]
-        if op == "xor":
+        if op == "and":
             a, b = name_of[gate[1]], name_of[gate[2]]
-            names += (s, a, b, s, a, b, s, a, b, s, a, b)
+            add(f"-{s} {a} 0\n-{s} {b} 0\n{s} -{a} -{b} 0")
+            num_clauses += 3
+        elif op == "xor":
+            a, b = name_of[gate[1]], name_of[gate[2]]
+            add(f"-{s} {a} {b} 0\n-{s} -{a} -{b} 0\n{s} {a} -{b} 0\n{s} -{a} {b} 0")
+            num_clauses += 4
+        elif op == "or":
+            a, b = name_of[gate[1]], name_of[gate[2]]
+            add(f"{s} -{a} 0\n{s} -{b} 0\n-{s} {a} {b} 0")
+            num_clauses += 3
         elif op == "not":
             a = name_of[gate[1]]
-            names += (s, a, s, a)
-        elif op == "const":
-            op = "pos" if gate[1] else "neg"
-            names.append(s)
-            units.add((op, s))
-        else:
-            a, b = name_of[gate[1]], name_of[gate[2]]
-            names += (s, a, s, b, s, a, b)
-        add_kind(op)
+            add(f"{s} {a} 0\n-{s} -{a} 0")
+            num_clauses += 2
+        else:  # const: a positive or a negative unit
+            unit = f"{s} 0" if gate[1] else f"-{s} 0"
+            add(unit)
+            units.add(unit)
+            num_clauses += 1
 
     for target in targets:
-        unit = ("pos", name_of[target])
+        unit = f"{name_of[target]} 0"
         if unit not in units:
-            add_kind("pos")
-            names.append(unit[1])
+            add(unit)
             units.add(unit)
+            num_clauses += 1
 
-    return TseitinFormula(v, frozenset(range(1, n_inputs + 1)), kinds, names)
+    return TseitinFormula(v, frozenset(range(1, n_inputs + 1)), lines, num_clauses)
 
 
 DIALECTS = ("ind_comment", "pshow_comment")
-
-_CHUNK_GATES = 2048
-
-
-def _gate_chunks(kinds, names):
-    """A Tseitin formula's clause lines, `_CHUNK_GATES` gates to a string."""
-    templates, counts = _GATE_TEMPLATES, _GATE_NAMES
-    end = 0
-    for i in range(0, len(kinds), _CHUNK_GATES):
-        chunk = kinds[i : i + _CHUNK_GATES]
-        start, end = end, end + sum(map(counts.__getitem__, chunk))
-        yield "\n".join(map(templates.__getitem__, chunk)) % tuple(names[start:end])
 
 
 def emit_dimacs(cnf: CnfFormula, dialect: str = "ind_comment") -> str:
@@ -194,9 +159,8 @@ def emit_dimacs(cnf: CnfFormula, dialect: str = "ind_comment") -> str:
     else:
         chunk = " ".join(str(v) for v in proj)
         lines.append(f"c p show {chunk} 0" if proj else "c p show 0")
-    # a Tseitin formula's lines come thousands of clauses to a string: one str
-    # object per clause would cost more in object headers than its text; the
-    # trailing "" ends the text with a newline without copying all of it once more
+    # a Tseitin formula's lines come a gate to a string; the trailing "" ends
+    # the text with a newline without copying all of it once more
     lines.extend(clause_lines)
     lines.append("")
     return "\n".join(lines)

@@ -605,22 +605,26 @@ class TestRipple:
             assert a.gates == b.gates
             assert a.outputs == b.outputs
 
-    # x, y and the carry into the first bit, on a circuit over the input bits 0, 1 and 2
+    # x, y and the carry into the first bit, on a circuit over the input bits 0,
+    # 1 and 2. A constant operand sends its bit to the generic methods; every
+    # other case reaches the fused adder's checks that x and y, or t and the
+    # carry, are equal or negations. In the "next-" cases the first bit's carry
+    # out is the second bit's t, or its negation.
     FOLDS = {
         "plain": lambda c: (0, 1, 2),
         "x-true": lambda c: (c.const(True), 1, 2),
-        "y-false": lambda c: (0, c.const(False), 2),
-        "carry-false": lambda c: (0, 1, c.const(False)),
         "carry-true": lambda c: (0, 1, c.const(True)),
-        "two-false": lambda c: (0, c.const(False), c.const(False)),
         "x-is-y": lambda c: (0, 0, 2),
         "x-is-not-y": lambda c: (0, c.not_(0), 2),
+        "x-is-not-y-swapped": lambda c: (c.not_(0), 0, 2),
         "carry-is-x": lambda c: (0, 1, 0),
         "carry-is-not-y": lambda c: (0, 1, c.not_(1)),
         "carry-is-t": lambda c: (0, 1, c.xor_(0, 1)),
         "carry-is-not-t": lambda c: (0, 1, c.not_(c.xor_(0, 1))),
-        "y-false-carry-is-x": lambda c: (0, c.const(False), 0),
-        "y-false-carry-is-not-x": lambda c: (0, c.const(False), c.not_(0)),
+        "carry-is-t-swapped": lambda c: (1, 0, c.xor_(0, 1)),
+        "carry-is-not-t-swapped": lambda c: (1, 0, c.not_(c.xor_(0, 1))),
+        "next-carry-is-t": lambda c: (0, c.not_(0), c.xor_(0, 2)),
+        "next-carry-is-not-t": lambda c: (0, c.not_(0), c.not_(c.xor_(0, 2))),
     }
 
     @pytest.mark.parametrize("case", FOLDS)

@@ -2,13 +2,17 @@ import argparse
 import hashlib
 import json
 import random
+import shlex
+import sys
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
 import exactml.cnf
+import exactml.counter
 import exactml.metrics
 import exactml.oracle
 import exactml.predicates
@@ -21,6 +25,7 @@ from exactml.predicates import (
     MAX_QUANTIFIER_COPIES,
     PredicateError,
     bounding_box,
+    graph_domain,
     parse_predicate,
 )
 
@@ -830,6 +835,28 @@ class TestExternalBackend:
         folded = {(1, "fp"): 0, (1, "fn"): 0}
         assert all(doc["labels"][l][kind] == folded.get((l, kind), 64)
                    for l in (0, 1) for kind in ("tp", "fp", "tn", "fn"))
+
+    @pytest.mark.parametrize("dialect", ["ind_comment", "pshow_comment"])
+    def test_a_counter_process_gives_the_builtin_report(self, tmp_path, monkeypatch, dialect):
+        # the paper's route: each root's CNF goes to a file, a process counts it
+        # with the reference DPLL, and its `s mc` line is parsed back
+        dom = graph_domain(3)
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(tree_to_document(random_tree(random.Random(3101), dom, max_depth=5))))
+        args = ["learnability", "--domain", "graph3", "--model", tree, "--property", "transitive"]
+        assert run([*args, "--out", tmp_path / "builtin.json"]) == 0
+        script = Path(__file__).with_name("count_dimacs.py")
+        monkeypatch.setenv("PYTHONPATH", str(Path(exactml.cnf.__file__).parents[1]))
+        counted = []
+        count_external = exactml.counter.count_external
+        monkeypatch.setattr(exactml.counter, "count_external",
+                            lambda *a, **k: counted.append(count_external(*a, **k)) or counted[-1])
+        backend = f"external:{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{file}}"
+        assert run([*args, "--backend", backend, "--dialect", dialect,
+                    "--out", tmp_path / "external.json"]) == 0
+        assert (tmp_path / "external.json").read_bytes() == (tmp_path / "builtin.json").read_bytes()
+        # no root of this tree folds to a constant: all eight counts took the process
+        assert len(counted) == 8
 
     @pytest.mark.parametrize("backend, center, marked", [
         ("external-approx", "2,3", True),

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-import exactml.cnf
 from exactml.circuit import Circuit, compile_model, compile_predicate, compile_tree
 from exactml.cnf import DIALECTS, CnfFormula, DimacsError, emit_dimacs, parse_dimacs, tseitin
 from exactml.counter import probe_functional_extension
-from exactml.metrics import learnability_roots
+from exactml.metrics import learnability_roots, safety_roots
 from exactml.oracle import enumerate_domain
-from exactml.predicates import GRAPH_PROPERTIES, builtin_graph_property, graph_domain
+from exactml.predicates import (
+    GRAPH_PROPERTIES, SafetyProperty, builtin_graph_property, graph_domain, parse_predicate,
+)
 
 from conftest import (
     make_domain, random_network, random_predicate, random_tree, reference_tseitin,
@@ -259,8 +260,9 @@ class TestDimacsTemplates:
 
 
 class TestGateTemplates:
-    """`emit_dimacs` writes a Tseitin formula one template per gate; its text
-    must be the one the formula's clause tuples give, as a parsed formula's do."""
+    """`emit_dimacs` writes a Tseitin formula's gate lines as `tseitin` wrote
+    them; its text must be the one the formula's clause tuples give, as a
+    parsed formula's do."""
 
     @staticmethod
     def _check(c, root):
@@ -283,13 +285,20 @@ class TestGateTemplates:
     def test_nets_with_zero_to_two_hidden_layers(self):
         rng = random.Random(1802)
         dom = make_domain([(0, 63)] * 4)
-        gates = []
         for hidden in ((), (4,), (6, 3)):
             c = compile_model(random_network(rng, dom, hidden=hidden, weight_range=7), dom)
             for label in range(2):
-                gates.append(len(self._check(c, c.output(f"model_{label}")).kinds))
-        # the widest net's roots take more than one chunk of gates (2,648 and 2,649)
-        assert max(gates) > exactml.cnf._CHUNK_GATES
+                self._check(c, c.output(f"model_{label}"))
+        # a net of the benchmark's emit-net shape: 8 features of 8 bits, hidden
+        # (8, 8); its model root and a box's viol root, gate for gate as the
+        # int-literal encoding writes them
+        dom = make_domain([(0, 255)] * 8)
+        c = compile_model(random_network(rng, dom, hidden=(8, 8), weight_range=7), dom)
+        box = parse_predicate("f1 >= 40 && f1 <= 103 && f5 >= 150 && f5 <= 213", dom)
+        roots = safety_roots(c, SafetyProperty(box, frozenset({0})))
+        for root in (c.output("model_1"), roots["viol"]):
+            f, _ = TestReferenceTseitin._both(c, root)
+            assert f.num_clauses > 10_000
 
     def test_graph_properties(self):
         dom = graph_domain(3)
@@ -317,8 +326,8 @@ class TestGateTemplates:
 
 
 class TestReferenceTseitin:
-    """`tseitin` names each variable once and writes the signs from its
-    templates; its clauses must be the int-literal encoding's, unit for unit."""
+    """`tseitin` writes each gate's clauses as text during its walk; its
+    clauses must be the int-literal encoding's, unit for unit."""
 
     @staticmethod
     def _both(c, root):
@@ -381,5 +390,10 @@ class TestReferenceTseitin:
         dom = make_domain([(0, 63)] * 4)
         c = compile_model(random_network(random.Random(2704), dom, hidden=(4,), weight_range=7), dom)
         f = tseitin(c, c.output("model_1"))
-        assert len({id(name) for name in f.names}) <= f.num_vars
-        assert set(f.names) <= {str(v) for v in range(1, f.num_vars + 1)}
+        clause_lines = [line for gate in f.lines for line in gate.split("\n")]
+        literals = {tok for line in clause_lines for tok in line.split()[:-1]}
+        assert literals <= {str(v) for v in range(-f.num_vars, f.num_vars + 1) if v}
+        assert all(line.endswith(" 0") for line in clause_lines)
+        header = emit_dimacs(f).splitlines()[0]
+        assert header == f"p cnf {f.num_vars} {f.num_clauses}"
+        assert f.num_clauses == len(f.clauses) == len(clause_lines)
